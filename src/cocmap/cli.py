@@ -13,7 +13,9 @@ error name), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import sys
 from datetime import datetime, timezone
@@ -71,11 +73,12 @@ def _write_report(out_dir: Path, name: str, report: dict) -> str:
 
 
 def _coords_csv(labels, coords) -> str:
-    lines = ["label," + ",".join(f"dim{i + 1}" for i in range(coords.shape[1]))]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["label"] + [f"dim{i + 1}" for i in range(coords.shape[1])])
     for label, row in zip(labels, np.asarray(coords)):
-        quoted = f'"{label}"' if "," in label else label
-        lines.append(quoted + "," + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+        writer.writerow([label] + [repr(float(v)) for v in row])
+    return out.getvalue()
 
 
 def _load_occurrence(args) -> tuple[OccurrenceMatrix, str]:

@@ -6,9 +6,10 @@ the square roots of their eigenvalues.  Rotation is the classic pairwise
 planar varimax procedure with optional Kaiser normalization (rows scaled to
 unit communality before rotating, rescaled after).
 
-The symmetric eigensolver is a cyclic Jacobi iteration, kept dependency-free
-on purpose; it doubles as the substrate for classical scaling starts in the
-scaling module.
+The symmetric eigensolver is a thin wrapper over LAPACK's symmetric driver
+(``np.linalg.eigh``) that fixes the eigenvalue order and eigenvector signs;
+it doubles as the substrate for classical scaling starts in the scaling
+module.
 """
 
 from __future__ import annotations
@@ -24,18 +25,21 @@ from .matrices import OccurrenceMatrix, ProximityMatrix
 from .proximity import pearson_columns
 
 
-def eigen_symmetric(M, threshold: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def _fix_column_signs(L: np.ndarray) -> np.ndarray:
+    """Flip columns so each one's largest-magnitude entry is positive."""
+    if L.size == 0:
+        return L.copy()
+    peak = L[np.argmax(np.abs(L), axis=0), np.arange(L.shape[1])]
+    return L * np.where(peak < 0, -1.0, 1.0)
+
+
+def eigen_symmetric(M):
+    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
     Parameters
     ----------
     M : array-like, shape (n, n)
-        Symmetric matrix (checked to a scale-relative 1e-10).
-    threshold : float
-        Sweeps stop once the Frobenius norm of the off-diagonal part drops
-        below ``threshold`` times the Frobenius norm of the input.
-    max_sweeps : int
-        Cap on full sweeps; exceeding it raises :class:`NoConvergence`.
+        Finite symmetric matrix (checked to a scale-relative 1e-10).
 
     Returns
     -------
@@ -48,57 +52,13 @@ def eigen_symmetric(M, threshold: float = 1e-12, max_sweeps: int = 100):
     A = np.array(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square matrix")
-    n = A.shape[0]
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix has NaN or infinite entries")
     scale = max(1.0, float(np.abs(A).max(initial=0.0)))
     if float(np.abs(A - A.T).max(initial=0.0)) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
-    A = (A + A.T) / 2.0
-    V = np.eye(n)
-    norm = float(np.sqrt((A**2).sum()))
-    stop = threshold * max(norm, 1e-300)
-
-    def off_norm():
-        return float(np.sqrt(2.0 * (np.triu(A, 1) ** 2).sum()))
-
-    converged = False
-    for _ in range(max_sweeps):
-        if off_norm() <= stop:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= stop / max(n, 1):
-                    continue
-                # classic stable rotation angle
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta**2 + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t**2 + 1.0)
-                s = t * c
-                rot_p = c * A[:, p] - s * A[:, q]
-                rot_q = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = rot_p, rot_q
-                rot_p = c * A[p, :] - s * A[q, :]
-                rot_q = s * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rot_p, rot_q
-                A[p, q] = A[q, p] = 0.0
-                rot_p = c * V[:, p] - s * V[:, q]
-                rot_q = s * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = rot_p, rot_q
-    if not converged and off_norm() > stop:
-        raise NoConvergence(f"Jacobi sweeps exceeded {max_sweeps} without converging")
-
-    values = np.diagonal(A).copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = V[:, order]
-    for j in range(n):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[k, j] < 0:
-            vectors[:, j] = -vectors[:, j]
-    return values, vectors
+    values, vectors = np.linalg.eigh((A + A.T) / 2.0)
+    return values[::-1].copy(), _fix_column_signs(vectors[:, ::-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,15 +100,6 @@ class LoadingsMatrix:
     @property
     def n_factors(self) -> int:
         return self.loadings.shape[1]
-
-
-def _fix_column_signs(L: np.ndarray) -> np.ndarray:
-    L = L.copy()
-    for j in range(L.shape[1]):
-        k = int(np.argmax(np.abs(L[:, j])))
-        if L[k, j] < 0:
-            L[:, j] = -L[:, j]
-    return L
 
 
 def pca_from_correlation(R, labels=None, n_factors="auto") -> LoadingsMatrix:

@@ -220,18 +220,15 @@ def parse_square_matrix(text: str, kind: str, level: str = "ratio"):
                 raw[i, j] = float(cell)
             except ValueError:
                 raise MalformedLine(i + 2, f"invalid number {cell!r}") from None
-    data = raw.copy()
-    for i in range(n):
-        for j in range(n):
-            a, b = raw[i, j], raw[j, i]
-            if np.isnan(a) and not np.isnan(b):
-                data[i, j] = b
-            elif not np.isnan(a) and not np.isnan(b) and i < j:
-                if abs(a - b) > 1e-9:
-                    raise AsymmetricInput(i, j, abs(a - b))
-    for i in range(n):
-        if np.isnan(data[i, i]):
-            data[i, i] = 1.0 if kind == "similarity" else 0.0
+    missing = np.isnan(raw)
+    with np.errstate(invalid="ignore"):
+        conflict = np.triu(~missing & ~missing.T & (np.abs(raw - raw.T) > 1e-9), 1)
+    if conflict.any():
+        i, j = (int(k) for k in np.argwhere(conflict)[0])  # first in row-major order
+        raise AsymmetricInput(i, j, abs(raw[i, j] - raw[j, i]))
+    data = np.where(missing, raw.T, raw)
+    diag = np.diagonal(data)
+    np.fill_diagonal(data, np.where(np.isnan(diag), 1.0 if kind == "similarity" else 0.0, diag))
     if kind == "counts":
         if np.any(np.isnan(data)):
             raise MalformedLine(0, "count matrix has unresolved missing cells")

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import CountOverflow
 
 U64_MAX = 2**64 - 1
-I64_MAX = 2**63 - 1
+FLOAT_EXACT_MAX = 2**53  # integers below this are exact in float64
 
 DIAGONAL_POLICIES = ("raw", "zeroed")
 PROXIMITY_KINDS = ("similarity", "dissimilarity")
@@ -125,7 +125,8 @@ class ProximityMatrix:
 
     ``level`` records the measurement level (ratio, interval or ordinal) at
     which the values should be interpreted by scaling routines.  NaN entries
-    mark missing proximities; they must appear symmetrically.
+    mark missing proximities; they must appear symmetrically.  Infinite
+    entries are rejected.
     """
 
     labels: tuple[str, ...]
@@ -143,6 +144,8 @@ class ProximityMatrix:
         n = len(self.labels)
         if data.shape != (n, n):
             raise ValueError(f"data shape {data.shape} does not match {n} labels")
+        if np.any(np.isinf(data)):
+            raise ValueError("proximity matrix has infinite entries (NaN marks a missing value)")
         nan = np.isnan(data)
         if not np.array_equal(nan, nan.T):
             raise ValueError("missing entries must appear symmetrically")
@@ -164,6 +167,40 @@ class ProximityMatrix:
         return len(self.labels)
 
 
+def count_product(data, labels) -> np.ndarray:
+    """Exact ``data.T @ data`` for a non-negative documents x attributes count array.
+
+    While the bound ``n_docs * max**2`` on every entry and partial sum is
+    below 2**53, the product runs in float64 BLAS, where integers of that
+    size are exact, and is cast back to int64.  Above it (or for object
+    input) entries are summed as Python integers, and :class:`CountOverflow`
+    is raised rather than wrapping if one exceeds the unsigned 64-bit range.
+    """
+    data = np.asarray(data)
+    if data.dtype == object:
+        bound = FLOAT_EXACT_MAX  # force the exact path
+    else:
+        m = int(data.max(initial=0))
+        bound = data.shape[0] * m * m
+    if bound < FLOAT_EXACT_MAX:
+        f = data.astype(np.float64)
+        return (f.T @ f).astype(np.int64)
+    exact = [[int(v) for v in row] for row in data]
+    n = data.shape[1]
+    out = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(i, n):
+            s = sum(row[i] * row[j] for row in exact)
+            if s > U64_MAX:
+                raise CountOverflow(
+                    f"count for ({labels[i]!r}, {labels[j]!r}) "
+                    f"exceeds the unsigned 64-bit range"
+                )
+            out[i, j] = s
+            out[j, i] = s
+    return out
+
+
 def cooccurrence(A: OccurrenceMatrix, diagonal_policy: str = "raw") -> CooccurrenceMatrix:
     """Count, for every attribute pair, the documents containing both.
 
@@ -174,10 +211,8 @@ def cooccurrence(A: OccurrenceMatrix, diagonal_policy: str = "raw") -> Cooccurre
     """
     if diagonal_policy not in DIAGONAL_POLICIES:
         raise ValueError(f"unknown diagonal policy {diagonal_policy!r}")
-    present = (np.asarray(A.data) > 0).astype(np.int64)
-    counts = present.T @ present
+    counts = count_product(np.asarray(A.data) > 0, A.cols)
     if diagonal_policy == "zeroed":
-        counts = counts.copy()
         np.fill_diagonal(counts, 0)
     return CooccurrenceMatrix(A.cols, counts, diagonal_policy)
 
@@ -191,29 +226,7 @@ def affiliations(A: OccurrenceMatrix) -> CooccurrenceMatrix:
     co-occurrence count contributes one.  Raises :class:`CountOverflow`
     rather than wrapping if an entry exceeds the unsigned 64-bit range.
     """
-    data = np.asarray(A.data)
-    if data.dtype == object:
-        bound = I64_MAX + 1  # force the exact path
-    else:
-        m = int(data.max(initial=0))
-        bound = len(A.rows) * m * m
-    if bound <= I64_MAX:
-        out = data.astype(np.int64).T @ data.astype(np.int64)
-    else:
-        exact = [[int(v) for v in row] for row in data]
-        n = A.n_attrs
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(i, n):
-                s = sum(row[i] * row[j] for row in exact)
-                if s > U64_MAX:
-                    raise CountOverflow(
-                        f"affiliation count for ({A.cols[i]!r}, {A.cols[j]!r}) "
-                        f"exceeds the unsigned 64-bit range"
-                    )
-                out[i, j] = s
-                out[j, i] = s
-    return CooccurrenceMatrix(A.cols, out, "raw")
+    return CooccurrenceMatrix(A.cols, count_product(A.data, A.cols), "raw")
 
 
 def binarize(M: CooccurrenceMatrix) -> CooccurrenceMatrix:

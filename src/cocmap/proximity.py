@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .errors import NegativeResult, OutOfRange, ZeroNormColumn, ZeroVarianceColumn
-from .matrices import OccurrenceMatrix, ProximityMatrix
+from .matrices import OccurrenceMatrix, ProximityMatrix, count_product
 
 
 def _column_pearson(X: np.ndarray, labels) -> np.ndarray:
@@ -83,8 +83,7 @@ def jaccard_columns(A: OccurrenceMatrix, level: str = "ratio") -> ProximityMatri
     empty support get a zero diagonal entry and a warning instead of an
     error, since the measure is still well defined everywhere else.
     """
-    present = (np.asarray(A.data) > 0).astype(np.int64)
-    inter = present.T @ present
+    inter = count_product(np.asarray(A.data) > 0, A.cols)
     sizes = np.diagonal(inter)
     union = sizes[:, None] + sizes[None, :] - inter
     with np.errstate(invalid="ignore"):

@@ -1,12 +1,14 @@
 """End-to-end command-line behavior: demos, pipelines, reports, exit codes."""
 
+import csv
+import io
 import json
 import time
 
 import numpy as np
 import pytest
 
-from cocmap.cli import run
+from cocmap.cli import _coords_csv, run
 
 FIGURE2_RECORDS = "1\tA;B;D\n2\tC;D\n3\tC;D\n4\tA;B\n5\tA;B;D\n"
 
@@ -120,6 +122,39 @@ class TestMdsCommand:
         ])
         assert code == 0
         assert read_report(out, "mds")["config"]["level"] == "ordinal"
+
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf"])
+    def test_infinite_cell_is_a_data_error(self, tmp_path, capsys, bad):
+        path = tmp_path / "m.csv"
+        path.write_text(f",a,b,c\na,0,1,2\nb,1,0,{bad}\nc,2,{bad},0\n", encoding="utf-8")
+        code = run(["mds", "--in", str(path), "--kind", "dissim", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "infinite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "configuration.csv").exists()
+
+    def test_label_with_quote_and_comma_reads_back(self, tmp_path):
+        labels = ["plain", 'Smith, "J."', "x,y"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([""] + labels)
+        D = [[0, 3, 4], [3, 0, 5], [4, 5, 0]]
+        for label, row in zip(labels, D):
+            writer.writerow([label] + row)
+        path = tmp_path / "m.csv"
+        path.write_text(buf.getvalue(), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["mds", "--in", str(path), "--out", str(out)]) == 0
+        with open(out / "configuration.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["label", "dim1", "dim2"]
+        assert [r[0] for r in rows[1:]] == labels
+        assert all(len(r) == 3 for r in rows)
+
+
+def test_coords_csv_bytes_for_ordinary_labels():
+    text = _coords_csv(("a", "b,c", "d e"), np.array([[1.0, 2.0], [3.5, -0.25], [0.1, 0.0]]))
+    assert text == 'label,dim1,dim2\na,1.0,2.0\n"b,c",3.5,-0.25\nd e,0.1,0.0\n'
 
 
 class TestFactorCommand:

@@ -1,4 +1,4 @@
-"""Jacobi eigensolver, principal components, and varimax rotation."""
+"""Symmetric eigensolver, principal components, and varimax rotation."""
 
 import numpy as np
 import pytest
@@ -65,13 +65,40 @@ class TestEigenSymmetric:
             oracle = np.sort(np.linalg.eigvalsh(M))[::-1]
             np.testing.assert_allclose(values, oracle, atol=1e-9)
 
-    def test_sweep_cap_raises(self):
-        with pytest.raises(NoConvergence):
-            eigen_symmetric([[2.0, 1.0], [1.0, 2.0]], max_sweeps=0)
-
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             eigen_symmetric([[1.0, 0.5], [0.1, 1.0]])
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            eigen_symmetric(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        M = np.eye(3)
+        M[0, 1] = M[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            eigen_symmetric(M)
+
+    def test_tolerated_asymmetry_is_averaged(self):
+        # within the 1e-10 scale-relative tolerance the symmetric part is used
+        M = np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
+        values, _ = eigen_symmetric(M)
+        np.testing.assert_allclose(values, [3.0, 1.0], atol=1e-11)
+
+    def test_matches_numpy_at_realistic_size(self):
+        # the size of a classical start or correlation spectrum in practice
+        rng = np.random.default_rng(14)
+        R = random_correlation(rng, 150)
+        values, vectors = eigen_symmetric(R)
+        oracle_values, oracle_vectors = np.linalg.eigh(R)
+        np.testing.assert_allclose(values, oracle_values[::-1], atol=1e-10)
+        assert np.all(np.diff(values) <= 0)
+        # eigenvectors agree with numpy up to sign (the spectrum is simple)
+        dots = np.abs(np.sum(vectors * oracle_vectors[:, ::-1], axis=0))
+        np.testing.assert_allclose(dots, 1.0, atol=1e-8)
+        peak = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(150)]
+        assert np.all(peak > 0)
 
 
 class TestPca:

@@ -130,8 +130,22 @@ class TestParseSquareMatrix:
 
     def test_conflicting_triangles_rejected(self):
         text = ",a,b\na,0,5\nb,7,0\n"
-        with pytest.raises(AsymmetricInput):
+        with pytest.raises(AsymmetricInput) as err:
             parse_square_matrix(text, "dissimilarity")
+        assert (err.value.i, err.value.j, err.value.delta) == (0, 1, 2.0)
+        # two conflicts: (0,3) comes first in row-major order, (1,2) in
+        # column-major order; the upper-triangle cell of the first is named
+        text = (
+            ",a,b,c,d\n"
+            "a,0,1,2,9\n"
+            "b,1,0,8,4\n"
+            "c,2,3,0,5\n"
+            "d,3,4,5,0\n"
+        )
+        with pytest.raises(AsymmetricInput) as err:
+            parse_square_matrix(text, "dissimilarity")
+        assert (err.value.i, err.value.j, err.value.delta) == (0, 3, 6.0)
+        assert "cells (0,3) and (3,0) differ by 6" in str(err.value)
 
     def test_label_mismatch(self):
         text = ",a,b\nx,0,1\nb,1,0\n"

@@ -94,6 +94,18 @@ class TestProximityMatrix:
         with pytest.raises(ValueError):
             ProximityMatrix(("a", "b"), data, kind="dissimilarity")
 
+    @pytest.mark.parametrize("kind", ["similarity", "dissimilarity"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_infinite_entries(self, kind, bad):
+        data = [[0.0, bad], [bad, 0.0]]
+        with pytest.raises(ValueError, match="infinite"):
+            ProximityMatrix(("a", "b"), data, kind=kind)
+
+    def test_nan_still_marks_missing(self):
+        data = [[0.0, np.nan, 1.0], [np.nan, 0.0, 2.0], [1.0, 2.0, 0.0]]
+        P = ProximityMatrix(("a", "b", "c"), data, kind="dissimilarity")
+        assert np.isnan(P.data[0, 1])
+
 
 class TestCooccurrence:
     def test_pair_counts_from_citation_table(self):
@@ -209,6 +221,58 @@ class TestAffiliations:
         A = OccurrenceMatrix(("d1", "d2"), ("a", "b"), data)
         F = affiliations(A)
         assert int(F.data[0, 1]) == 2 * big * big  # 2^63, above int64 max
+
+
+def realistic_counts(seed, n_docs=2000, n_attrs=80):
+    """Sparse citation counts: a few cited attributes per document."""
+    rng = np.random.default_rng(seed)
+    data = rng.poisson(0.08, size=(n_docs, n_attrs)) * rng.integers(1, 4, size=(n_docs, n_attrs))
+    return OccurrenceMatrix(
+        tuple(f"d{i}" for i in range(n_docs)), tuple(f"a{j}" for j in range(n_attrs)), data
+    )
+
+
+class TestCountProductAtRealisticSize:
+    def test_cooccurrence_matches_support_intersections(self):
+        A = realistic_counts(21)
+        data = np.asarray(A.data)
+        supports = [set(np.flatnonzero(data[:, j]).tolist()) for j in range(A.n_attrs)]
+        expected = np.array([[len(s & t) for t in supports] for s in supports])
+        got = np.asarray(cooccurrence(A).data)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    def test_affiliations_match_summed_outer_products(self):
+        A = realistic_counts(22)
+        expected = np.zeros((A.n_attrs, A.n_attrs), dtype=np.int64)
+        for row in np.asarray(A.data):
+            expected += np.outer(row, row)
+        got = np.asarray(affiliations(A).data)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+
+class TestCountProductExactness:
+    def test_bound_just_above_float_range_takes_exact_path(self):
+        # n_docs * max**2 = 2 * (2**26 + 1)**2 = 2**53 + 2**28 + 2
+        a = 2**26 + 1
+        A = OccurrenceMatrix(("d1", "d2"), ("x", "y"), np.array([[a, a], [a, a - 1]]))
+        F = np.asarray(affiliations(A).data)
+        assert F.dtype == object
+        off = a * a + a * (a - 1)
+        assert float(off) != off  # float64 BLAS would have rounded this entry
+        assert F[0, 1] == F[1, 0] == off
+        assert F[0, 0] == 2 * a * a
+        assert F[1, 1] == a * a + (a - 1) ** 2
+
+    def test_bound_just_below_float_range_uses_blas_exactly(self):
+        # n_docs * max**2 = 2 * (2**26 - 1)**2 < 2**53
+        a = 2**26 - 1
+        A = OccurrenceMatrix(("d1", "d2"), ("x", "y"), np.array([[a, a], [a, a - 1]]))
+        F = np.asarray(affiliations(A).data)
+        assert F.dtype == np.int64
+        assert int(F[0, 1]) == a * a + a * (a - 1)
+        assert int(F[1, 1]) == a * a + (a - 1) ** 2
 
 
 class TestBinarize:

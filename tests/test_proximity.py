@@ -173,6 +173,17 @@ class TestJaccardColumns:
             J = np.asarray(jaccard_columns(random_occurrence(rng)).data)
             assert np.all(J >= 0.0) and np.all(J <= 1.0)
 
+    def test_matches_set_oracle_at_realistic_size(self):
+        rng = np.random.default_rng(23)
+        data = (rng.random((2000, 80)) < 0.05).astype(np.int64)
+        data[0] = 1  # no empty supports
+        A = OccurrenceMatrix(
+            tuple(f"d{i}" for i in range(2000)), tuple(f"a{j}" for j in range(80)), data
+        )
+        supports = [set(np.flatnonzero(data[:, j]).tolist()) for j in range(80)]
+        expected = np.array([[len(s & t) / len(s | t) for t in supports] for s in supports])
+        assert np.array_equal(np.asarray(jaccard_columns(A).data), expected)
+
 
 class TestEuclideanColumns:
     def test_identical_columns_distance_zero(self):
