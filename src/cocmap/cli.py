@@ -2,7 +2,10 @@
 
 Subcommands cover the individual stages (``build``, ``prox``, ``mds``,
 ``factor``, ``layout``), free-form chains (``pipeline``), and three
-self-contained demonstrations (``demo``).  Every run writes a JSON report
+self-contained demonstrations (``demo``).  Stage subcommands are one-step
+pipelines: both run through one stage table (``STAGES``) that gives each
+step its input kind, output kind, computation and artifact writer, so a
+stage reports the same ``results`` either way.  Every run writes a JSON report
 with the input hash, configuration, and fit statistics; identical
 invocations produce byte-identical reports apart from the timestamp.
 
@@ -20,6 +23,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,21 +36,6 @@ from .matrices import CooccurrenceMatrix, OccurrenceMatrix, ProximityMatrix
 class UsageError(Exception):
     pass
 
-
-# pipeline step -> (input kind, output kind)
-STEP_KINDS = {
-    "cooccurrence": ("occurrence", "cooccurrence"),
-    "affiliations": ("occurrence", "cooccurrence"),
-    "pearson": ("occurrence", "proximity"),
-    "shift": ("proximity", "proximity"),
-    "cosine": ("occurrence", "proximity"),
-    "jaccard": ("occurrence", "proximity"),
-    "euclidean": ("occurrence", "proximity"),
-    "to-dissimilarity": ("proximity", "proximity"),
-    "mds": ("proximity", "configuration"),
-    "factor": ("occurrence", "loadings"),
-    "layout": ("cooccurrence", "layout"),
-}
 
 DEMOS = ("cities-correct", "cities-distorted", "figure3")
 
@@ -143,24 +132,142 @@ def _diag_policy(args) -> str:
     return "zeroed" if args.diag_policy == "zero" else "raw"
 
 
-def _run_layout(graph, out_dir: Path, name: str, report_extra: dict) -> dict:
-    result = layout_mod.kamada_kawai(graph)
-    outputs = [
-        _write(out_dir / f"{name}.net", layout_mod.export_pajek(graph, result)),
-        _write(out_dir / f"{name}.svg", layout_mod.export_svg(graph, result)),
-    ]
-    report = {
-        "results": {
-            "final_energy": result.final_energy,
-            "iterations": result.iterations,
-            "nodes": graph.n,
-            "edges": len(graph.edges),
-        },
-        "outputs": outputs,
-        **report_extra,
+def _n_factors(args):
+    return "auto" if args.factors is None else args.factors
+
+
+def _factor(A, args):
+    L = factor_mod.pca_from_occurrence(A, _n_factors(args))
+    if args.rotate == "varimax":
+        L = factor_mod.varimax(L, kaiser_normalize=args.kaiser)
+    return L
+
+
+def _layout(M, args):
+    graph = layout_mod.graph_from_cooccurrence(M, args.threshold)
+    return graph, layout_mod.kamada_kawai(graph)
+
+
+# ---------------------------------------------------------------------------
+# artifact writers: (value, out_dir, stem) -> (output paths, report results)
+# ---------------------------------------------------------------------------
+
+def _write_square(M, out_dir: Path, stem: str):
+    return [_write(out_dir / f"{stem}.csv", ingest.serialize_square_matrix(M))], {}
+
+
+def _write_rectangular(A, out_dir: Path, stem: str):
+    return [_write(out_dir / f"{stem}.csv", ingest.serialize_rectangular_matrix(A))], {}
+
+
+def _write_configuration(C, out_dir: Path, stem: str):
+    path = _write(out_dir / "configuration.csv", _coords_csv(C.labels, C.coords))
+    return [path], {"stress": C.stress, "iterations": C.iterations_used,
+                    "converged": C.converged}
+
+
+def _write_loadings(L, out_dir: Path, stem: str):
+    paths = [_write(out_dir / "loadings.csv", factor_mod.loadings_to_csv(L)),
+             _write(out_dir / "loadings.txt", factor_mod.format_loadings(L))]
+    return paths, {
+        "eigenvalues": list(L.eigenvalues),
+        "explained_variance_pct": list(L.explained_variance_pct),
+        "rotation_iterations": L.rotation_iterations,
     }
-    outputs.append(_write_report(out_dir, name, report))
-    return report
+
+
+def _write_layout(value, out_dir: Path, stem: str):
+    graph, result = value
+    paths = [_write(out_dir / "layout.net", layout_mod.export_pajek(graph, result)),
+             _write(out_dir / "layout.svg", layout_mod.export_svg(graph, result))]
+    return paths, {"final_energy": result.final_energy, "iterations": result.iterations,
+                   "nodes": graph.n, "edges": len(graph.edges)}
+
+
+# ---------------------------------------------------------------------------
+# the stage table: every subcommand and every pipeline step runs through it
+# ---------------------------------------------------------------------------
+
+class Stage(NamedTuple):
+    needs: str  # input kind; for the first stage of a run it picks the loader
+    makes: str  # output kind
+    compute: Callable  # (value, args) -> value
+    write: Callable  # (value, out_dir, stem) -> (output paths, results)
+
+
+STAGES = {
+    "cooccurrence": Stage("occurrence", "cooccurrence",
+                          lambda A, a: matrices.cooccurrence(A, _diag_policy(a)),
+                          _write_square),
+    "affiliations": Stage("occurrence", "cooccurrence",
+                          lambda A, a: matrices.affiliations(A), _write_square),
+    "pearson": Stage("occurrence", "proximity",
+                     lambda A, a: proximity.pearson_columns(A, level=a.level),
+                     _write_square),
+    "shift": Stage("proximity", "proximity",
+                   lambda P, a: proximity.shift_pearson(P), _write_square),
+    "cosine": Stage("occurrence", "proximity",
+                    lambda A, a: proximity.cosine_columns(A, level=a.level),
+                    _write_square),
+    "jaccard": Stage("occurrence", "proximity",
+                     lambda A, a: proximity.jaccard_columns(A, level=a.level),
+                     _write_square),
+    "euclidean": Stage("occurrence", "proximity",
+                       lambda A, a: proximity.euclidean_columns(A, level=a.level),
+                       _write_square),
+    "to-dissimilarity": Stage("proximity", "proximity",
+                              lambda P, a: proximity.to_dissimilarity(P), _write_square),
+    "mds": Stage("proximity", "configuration",
+                 lambda P, a: mds(P, _mds_config(a)), _write_configuration),
+    "factor": Stage("occurrence", "loadings", _factor, _write_loadings),
+    "layout": Stage("cooccurrence", "layout", _layout, _write_layout),
+}
+
+# `build --derive occurrence` writes the loaded matrix unchanged (not a pipeline step)
+_UNCHANGED = Stage("occurrence", "occurrence", lambda A, a: A, _write_rectangular)
+
+LOADERS = {
+    "occurrence": _load_occurrence,
+    "proximity": _load_proximity,
+    "cooccurrence": _load_cooccurrence,
+}
+
+
+def _run(args, command: str, steps: list[tuple[str, Stage]], config: Callable):
+    """Validate, load, compute and write one run; returns (value, report).
+
+    ``pipeline`` starts from an occurrence matrix and writes every step's
+    artifacts under the step's name.  A subcommand loads what its first
+    stage needs and writes only the last stage's artifacts, under the first
+    step's name (``prox --shift`` writes ``pearson.csv``).  The whole chain
+    is checked before any input is read.  ``config(loaded input)`` gives the
+    report's ``config``.
+    """
+    pipeline = command == "pipeline"
+    source = "occurrence" if pipeline else steps[0][1].needs
+    current = source
+    for name, stage in steps:
+        if stage.needs != current:
+            raise UsageError(
+                f"step {name!r} needs {stage.needs} input but would receive {current}"
+            )
+        current = stage.makes
+    value, digest = LOADERS[source](args)
+    report = {"command": command, "config": config(value), "inputs": {"sha256": digest}}
+    out_dir = Path(args.out)
+    outputs: list[str] = []
+    results: dict = {}
+    for k, (name, stage) in enumerate(steps):
+        value = stage.compute(value, args)
+        if pipeline or k == len(steps) - 1:
+            paths, found = stage.write(value, out_dir, name if pipeline else steps[0][0])
+            outputs += paths
+            results.update(found)
+    if results or pipeline:
+        report["results"] = results
+    report["outputs"] = outputs
+    _write_report(out_dir, command, report)
+    return value, report
 
 
 # ---------------------------------------------------------------------------
@@ -168,114 +275,46 @@ def _run_layout(graph, out_dir: Path, name: str, report_extra: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_build(args) -> int:
-    A, digest = _load_occurrence(args)
-    out_dir = Path(args.out)
-    derive = args.derive
-    if derive == "occurrence":
-        result = A
-        text = ingest.serialize_rectangular_matrix(A)
-    elif derive == "cooccurrence":
-        result = matrices.cooccurrence(A, _diag_policy(args))
-        text = ingest.serialize_square_matrix(result)
-    else:
-        result = matrices.affiliations(A)
-        text = ingest.serialize_square_matrix(result)
-    path = _write(out_dir / f"{derive}.csv", text)
-    _write_report(out_dir, "build", {
-        "command": "build",
-        "config": {"derive": derive, "diag": args.diag_policy},
-        "inputs": {"sha256": digest},
-        "outputs": [path],
-    })
-    print(f"wrote {path}")
+    stage = _UNCHANGED if args.derive == "occurrence" else STAGES[args.derive]
+    _, report = _run(args, "build", [(args.derive, stage)],
+                     lambda _: {"derive": args.derive, "diag": args.diag_policy})
+    print(f"wrote {report['outputs'][0]}")
     return 0
 
 
 def _cmd_prox(args) -> int:
-    A, digest = _load_occurrence(args)
-    out_dir = Path(args.out)
-    measure = args.measure
-    if measure == "pearson":
-        P = proximity.pearson_columns(A, level=args.level)
-        if args.shift:
-            P = proximity.shift_pearson(P)
-    elif measure == "cosine":
-        P = proximity.cosine_columns(A, level=args.level)
-    elif measure == "jaccard":
-        P = proximity.jaccard_columns(A, level=args.level)
-    else:
-        P = proximity.euclidean_columns(A, level=args.level)
-    path = _write(out_dir / f"{measure}.csv", ingest.serialize_square_matrix(P))
-    _write_report(out_dir, "prox", {
-        "command": "prox",
-        "config": {"measure": measure, "shift": bool(args.shift), "level": args.level},
-        "inputs": {"sha256": digest},
-        "outputs": [path],
-    })
-    print(f"wrote {path}")
+    names = [args.measure]
+    if args.measure == "pearson" and args.shift:
+        names.append("shift")
+    _, report = _run(args, "prox", [(s, STAGES[s]) for s in names],
+                     lambda _: {"measure": args.measure, "shift": bool(args.shift),
+                                "level": args.level})
+    print(f"wrote {report['outputs'][0]}")
     return 0
 
 
 def _cmd_mds(args) -> int:
-    P, digest = _load_proximity(args)
-    cfg = _mds_config(args)
-    result = mds(P, cfg)
-    out_dir = Path(args.out)
-    coords_path = _write(out_dir / "configuration.csv",
-                         _coords_csv(result.labels, result.coords))
-    report = {
-        "command": "mds",
-        "config": {
-            "dimensions": cfg.dimensions, "level": cfg.level, "init": cfg.init,
-            "seed": cfg.seed, "max_iterations": cfg.max_iterations,
-            "epsilon": cfg.epsilon, "kind": P.kind,
-        },
-        "inputs": {"sha256": digest},
-        "results": {
-            "stress": result.stress,
-            "iterations": result.iterations_used,
-            "converged": result.converged,
-        },
-        "outputs": [coords_path],
-    }
-    _write_report(out_dir, "mds", report)
+    result, _ = _run(args, "mds", [("mds", STAGES["mds"])], lambda P: {
+        "dimensions": args.dims, "level": args.level, "init": args.init,
+        "seed": args.seed, "max_iterations": args.max_iter,
+        "epsilon": args.epsilon, "kind": P.kind,
+    })
     print(f"normalized raw stress: {result.stress:.6f} "
           f"({result.iterations_used} iterations)")
     return 0
 
 
 def _cmd_factor(args) -> int:
-    A, digest = _load_occurrence(args)
-    n_factors = "auto" if args.factors is None else args.factors
-    L = factor_mod.pca_from_occurrence(A, n_factors)
-    if args.rotate == "varimax":
-        L = factor_mod.varimax(L, kaiser_normalize=args.kaiser)
-    out_dir = Path(args.out)
-    csv_path = _write(out_dir / "loadings.csv", factor_mod.loadings_to_csv(L))
-    table_path = _write(out_dir / "loadings.txt", factor_mod.format_loadings(L))
-    _write_report(out_dir, "factor", {
-        "command": "factor",
-        "config": {"factors": n_factors, "rotate": args.rotate, "kaiser": args.kaiser},
-        "inputs": {"sha256": digest},
-        "results": {
-            "eigenvalues": list(L.eigenvalues),
-            "explained_variance_pct": list(L.explained_variance_pct),
-            "rotation_iterations": L.rotation_iterations,
-        },
-        "outputs": [csv_path, table_path],
-    })
+    L, _ = _run(args, "factor", [("factor", STAGES["factor"])],
+                lambda _: {"factors": _n_factors(args), "rotate": args.rotate,
+                           "kaiser": args.kaiser})
     print(factor_mod.format_loadings(L), end="")
     return 0
 
 
 def _cmd_layout(args) -> int:
-    M, digest = _load_cooccurrence(args)
-    graph = layout_mod.graph_from_cooccurrence(M, args.threshold)
-    report = _run_layout(graph, Path(args.out), "layout", {
-        "command": "layout",
-        "config": {"threshold": args.threshold},
-        "inputs": {"sha256": digest},
-    })
+    _, report = _run(args, "layout", [("layout", STAGES["layout"])],
+                     lambda _: {"threshold": args.threshold})
     print(f"energy {report['results']['final_energy']:.6f} "
           f"after {report['results']['iterations']} vertex passes")
     return 0
@@ -286,81 +325,11 @@ def _cmd_pipeline(args) -> int:
     if not steps:
         raise UsageError("pipeline needs at least one step")
     for s in steps:
-        if s not in STEP_KINDS:
-            raise UsageError(f"unknown step {s!r}; choose from {sorted(STEP_KINDS)}")
-    # validate the chain before touching any data
-    current = "occurrence"
-    for s in steps:
-        expected, produced = STEP_KINDS[s]
-        if expected != current:
-            raise UsageError(
-                f"step {s!r} needs {expected} input but would receive {current}"
-            )
-        current = produced
-    A, digest = _load_occurrence(args)
-    out_dir = Path(args.out)
-    value = A
-    outputs: list[str] = []
-    results: dict = {}
-    for s in steps:
-        if s == "cooccurrence":
-            value = matrices.cooccurrence(value, _diag_policy(args))
-            outputs.append(_write(out_dir / "cooccurrence.csv",
-                                  ingest.serialize_square_matrix(value)))
-        elif s == "affiliations":
-            value = matrices.affiliations(value)
-            outputs.append(_write(out_dir / "affiliations.csv",
-                                  ingest.serialize_square_matrix(value)))
-        elif s == "pearson":
-            value = proximity.pearson_columns(value, level=args.level)
-        elif s == "shift":
-            value = proximity.shift_pearson(value)
-        elif s == "cosine":
-            value = proximity.cosine_columns(value, level=args.level)
-        elif s == "jaccard":
-            value = proximity.jaccard_columns(value, level=args.level)
-        elif s == "euclidean":
-            value = proximity.euclidean_columns(value, level=args.level)
-        elif s == "to-dissimilarity":
-            value = proximity.to_dissimilarity(value)
-        elif s == "mds":
-            cfg = _mds_config(args)
-            config = mds(value, cfg)
-            outputs.append(_write(out_dir / "configuration.csv",
-                                  _coords_csv(config.labels, config.coords)))
-            results["stress"] = config.stress
-            results["iterations"] = config.iterations_used
-            value = config
-        elif s == "factor":
-            n_factors = "auto" if args.factors is None else args.factors
-            L = factor_mod.pca_from_occurrence(value, n_factors)
-            if args.rotate == "varimax":
-                L = factor_mod.varimax(L, kaiser_normalize=args.kaiser)
-            outputs.append(_write(out_dir / "loadings.csv",
-                                  factor_mod.loadings_to_csv(L)))
-            value = L
-        elif s == "layout":
-            graph = layout_mod.graph_from_cooccurrence(value, args.threshold)
-            result = layout_mod.kamada_kawai(graph)
-            outputs.append(_write(out_dir / "layout.net",
-                                  layout_mod.export_pajek(graph, result)))
-            outputs.append(_write(out_dir / "layout.svg",
-                                  layout_mod.export_svg(graph, result)))
-            results["final_energy"] = result.final_energy
-            value = result
-        if isinstance(value, ProximityMatrix) and s in (
-            "pearson", "shift", "cosine", "jaccard", "euclidean", "to-dissimilarity",
-        ):
-            outputs.append(_write(out_dir / f"{s}.csv",
-                                  ingest.serialize_square_matrix(value)))
-    _write_report(out_dir, "pipeline", {
-        "command": "pipeline",
-        "config": {"steps": steps, "level": args.level, "dims": args.dims,
-                   "diag": args.diag_policy, "threshold": args.threshold},
-        "inputs": {"sha256": digest},
-        "results": results,
-        "outputs": outputs,
-    })
+        if s not in STAGES:
+            raise UsageError(f"unknown step {s!r}; choose from {sorted(STAGES)}")
+    _run(args, "pipeline", [(s, STAGES[s]) for s in steps],
+         lambda _: {"steps": steps, "level": args.level, "dims": args.dims,
+                    "diag": args.diag_policy, "threshold": args.threshold})
     print(f"pipeline complete: {', '.join(steps)}")
     return 0
 
@@ -458,22 +427,40 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", default="out", help="output directory")
 
-    def add_mds_flags(p):
+    # each stage group's flags are declared once, for its subcommand and pipeline
+    def add_level(p):
         p.add_argument("--level", choices=("ratio", "interval", "ordinal"),
                        default="ratio")
+
+    def add_mds_flags(p):
+        add_level(p)
         p.add_argument("--dims", type=int, default=2)
         p.add_argument("--init", choices=("classical", "random"), default="classical")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--max-iter", type=int, default=1000)
         p.add_argument("--epsilon", type=float, default=1e-6)
 
+    def add_diag(p):
+        p.add_argument("--diag", dest="diag_policy", choices=("raw", "zero"),
+                       default="raw")
+
+    def add_threshold(p):
+        p.add_argument("--threshold", type=int, default=1)
+
+    def add_factor_flags(p):
+        p.add_argument("--factors", type=int, default=None,
+                       help="factor count (default: Kaiser criterion)")
+        p.add_argument("--rotate", choices=("none", "varimax"), default="varimax")
+        kaiser = p.add_mutually_exclusive_group()
+        kaiser.add_argument("--kaiser", dest="kaiser", action="store_true", default=True)
+        kaiser.add_argument("--no-kaiser", dest="kaiser", action="store_false")
+
     p = sub.add_parser("build", help="derive count matrices from records")
     add_input(p, occurrence=True)
     add_common(p)
     p.add_argument("--derive", choices=("occurrence", "cooccurrence", "affiliations"),
                    default="cooccurrence")
-    p.add_argument("--diag", dest="diag_policy", choices=("raw", "zero"),
-                   default="raw")
+    add_diag(p)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("prox", help="derive a proximity matrix from records")
@@ -483,8 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="pearson")
     p.add_argument("--shift", action="store_true",
                    help="apply the (r+1)/2 shift after Pearson")
-    p.add_argument("--level", choices=("ratio", "interval", "ordinal"),
-                   default="ratio")
+    add_level(p)
     p.set_defaults(func=_cmd_prox)
 
     p = sub.add_parser("mds", help="scale a proximity matrix")
@@ -499,18 +485,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("factor", help="principal-component factor analysis")
     add_input(p, occurrence=True)
     add_common(p)
-    p.add_argument("--factors", type=int, default=None,
-                   help="factor count (default: Kaiser criterion)")
-    p.add_argument("--rotate", choices=("none", "varimax"), default="varimax")
-    kaiser = p.add_mutually_exclusive_group()
-    kaiser.add_argument("--kaiser", dest="kaiser", action="store_true", default=True)
-    kaiser.add_argument("--no-kaiser", dest="kaiser", action="store_false")
+    add_factor_flags(p)
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("layout", help="spring-embed a co-occurrence matrix")
     add_input(p)
     add_common(p)
-    p.add_argument("--threshold", type=int, default=1)
+    add_threshold(p)
     p.set_defaults(func=_cmd_layout)
 
     p = sub.add_parser("pipeline", help="run an ordered chain of steps")
@@ -518,13 +499,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--steps", required=True,
                    help="comma-separated steps, e.g. 'pearson,shift,mds'")
-    p.add_argument("--diag", dest="diag_policy", choices=("raw", "zero"),
-                   default="raw")
-    p.add_argument("--threshold", type=int, default=1)
-    p.add_argument("--factors", type=int, default=None)
-    p.add_argument("--rotate", choices=("none", "varimax"), default="varimax")
-    p.add_argument("--kaiser", dest="kaiser", action="store_true", default=True)
-    p.add_argument("--no-kaiser", dest="kaiser", action="store_false")
+    add_diag(p)
+    add_threshold(p)
+    add_factor_flags(p)
     add_mds_flags(p)
     p.set_defaults(func=_cmd_pipeline)
 

@@ -153,13 +153,25 @@ def parse_records(text: str) -> OccurrenceMatrix:
     return OccurrenceMatrix(tuple(rows), cols, data)
 
 
+_RECORD_SEPARATORS = (":", ";", "\t", "\n", "\r")
+
+
 def serialize_records(A: OccurrenceMatrix) -> str:
     """Serialize an occurrence matrix back to record-file text.
 
     Zero cells are omitted, except that all-zero columns and all-zero rows
     get explicit ``label:0`` entries so the parse round-trip preserves the
-    label sets exactly.
+    label sets exactly.  A label or document id that would not parse back
+    unchanged raises ``ValueError`` naming it: empty, with leading or
+    trailing whitespace, or containing ``:``, ``;``, a tab, ``\\n`` or
+    ``\\r``; a document id may also not start with ``#``.
     """
+    for what, names in (("attribute label", A.cols), ("document id", A.rows)):
+        for name in names:
+            if (not name or name != name.strip()
+                    or any(c in name for c in _RECORD_SEPARATORS)
+                    or (what == "document id" and name.startswith("#"))):
+                raise ValueError(f"{what} {name!r} cannot be written to a record file")
     data = np.asarray(A.data)
     zero_cols = [j for j in range(A.n_attrs) if not data[:, j].any()]
     lines = []

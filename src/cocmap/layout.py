@@ -104,12 +104,9 @@ def graph_from_cooccurrence(M: CooccurrenceMatrix, threshold: int = 1) -> Weight
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     data = np.asarray(M.data)
-    edges = []
-    for i in range(M.n):
-        for j in range(i + 1, M.n):
-            if data[i, j] >= threshold:
-                edges.append((i, j, float(data[i, j])))
-    return WeightedGraph(M.labels, tuple(edges))
+    rows, cols = np.nonzero(np.triu(data >= threshold, 1))
+    weights = data[rows, cols].astype(float)
+    return WeightedGraph(M.labels, tuple(zip(rows.tolist(), cols.tolist(), weights.tolist())))
 
 
 def shortest_path_lengths(G: WeightedGraph) -> np.ndarray:
@@ -132,15 +129,15 @@ def shortest_path_lengths(G: WeightedGraph) -> np.ndarray:
     return dist
 
 
-def _components(G: WeightedGraph) -> list[list[int]]:
-    dist = shortest_path_lengths(G)
-    remaining = set(range(G.n))
+def _components(hops: np.ndarray) -> list[list[int]]:
+    """Connected components from hop counts, by smallest member; members sorted."""
+    placed = np.zeros(len(hops), dtype=bool)
     comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = sorted(i for i in remaining if dist[seed, i] < np.inf)
-        comps.append(comp)
-        remaining -= set(comp)
+    for seed in range(len(hops)):
+        if not placed[seed]:
+            comp = np.flatnonzero(np.isfinite(hops[seed]))
+            placed[comp] = True
+            comps.append(comp.tolist())
     return comps
 
 
@@ -243,10 +240,10 @@ def kamada_kawai(G: WeightedGraph, cfg: LayoutConfig = LayoutConfig()) -> Layout
     n = G.n
     if n < 2:
         raise ValueError("layout needs at least two nodes")
-    comps = _components(G)
+    hops = shortest_path_lengths(G)
+    comps = _components(hops)
     if len(comps) > 1 and not cfg.pack_components:
         raise DisconnectedGraph(f"graph has {len(comps)} components")
-    hops = shortest_path_lengths(G)
     positions = np.zeros((n, 2))
     total_energy = 0.0
     initial_energy = 0.0
@@ -305,9 +302,12 @@ def export_pajek(G: WeightedGraph, layout: LayoutResult | None = None) -> str:
 
     Vertex ids are 1-based, labels double-quoted, lines ``\\n``-terminated.
     When a layout is given, coordinates are normalized into [0, 1] and
-    appended to the vertex lines.  Double quotes inside labels are replaced
-    with apostrophes (the format cannot carry them).
+    appended to the vertex lines.  The format cannot carry a double quote
+    inside a label, so a label containing ``"`` raises ``ValueError``.
     """
+    for label in G.node_labels:
+        if '"' in label:
+            raise ValueError(f"Pajek labels cannot contain a double quote: {label!r}")
     lines = [f"*Vertices {G.n}"]
     coords = None
     if layout is not None:
@@ -316,7 +316,7 @@ def export_pajek(G: WeightedGraph, layout: LayoutResult | None = None) -> str:
         span = np.where(span > 0, span, 1.0)
         coords = (pos - pos.min(axis=0)) / span
     for idx, label in enumerate(G.node_labels):
-        quoted = '"' + label.replace('"', "'") + '"'
+        quoted = f'"{label}"'
         if coords is None:
             lines.append(f"{idx + 1} {quoted}")
         else:

@@ -236,3 +236,72 @@ class TestReports:
         run(["build", "--in", str(records_file), "--out", str(out)])
         report = read_report(out, "build")
         assert len(report["inputs"]["sha256"]) == 64
+
+
+class TestSubcommandPipelineParity:
+    """Subcommands and ``pipeline`` share one stage table and one writer per stage."""
+
+    def test_mds_results_keys_appear_in_pipeline_report(self, tmp_path, records_file):
+        assert run(["mds", "--builtin", "cities", "--out", str(tmp_path / "sub")]) == 0
+        assert run(["pipeline", "--in", str(records_file), "--steps", "pearson,shift,mds",
+                    "--out", str(tmp_path / "pipe")]) == 0
+        sub = read_report(tmp_path / "sub", "mds")["results"]
+        pipe = read_report(tmp_path / "pipe", "pipeline")["results"]
+        assert set(sub) <= set(pipe)
+
+    def test_mds_results_match_pipeline_on_the_same_matrix(self, tmp_path, records_file):
+        assert run(["prox", "--in", str(records_file), "--measure", "pearson", "--shift",
+                    "--out", str(tmp_path / "prox")]) == 0
+        assert run(["mds", "--in", str(tmp_path / "prox" / "pearson.csv"), "--kind", "sim",
+                    "--out", str(tmp_path / "sub")]) == 0
+        assert run(["pipeline", "--in", str(records_file), "--steps", "pearson,shift,mds",
+                    "--out", str(tmp_path / "pipe")]) == 0
+        sub = read_report(tmp_path / "sub", "mds")["results"]
+        pipe = read_report(tmp_path / "pipe", "pipeline")["results"]
+        assert sub.items() <= pipe.items()
+
+    def test_layout_results_keys_appear_in_pipeline_report(self, tmp_path, records_file):
+        assert run(["layout", "--builtin", "figure1", "--out", str(tmp_path / "sub")]) == 0
+        assert run(["pipeline", "--in", str(records_file), "--steps", "cooccurrence,layout",
+                    "--out", str(tmp_path / "pipe")]) == 0
+        sub = read_report(tmp_path / "sub", "layout")["results"]
+        pipe = read_report(tmp_path / "pipe", "pipeline")["results"]
+        assert set(sub) == {"final_energy", "iterations", "nodes", "edges"}
+        assert set(sub) <= set(pipe)
+
+    def test_layout_results_match_pipeline_on_the_same_counts(self, tmp_path, records_file):
+        assert run(["build", "--in", str(records_file), "--out", str(tmp_path / "build")]) == 0
+        assert run(["layout", "--in", str(tmp_path / "build" / "cooccurrence.csv"),
+                    "--out", str(tmp_path / "sub")]) == 0
+        assert run(["pipeline", "--in", str(records_file), "--steps", "cooccurrence,layout",
+                    "--out", str(tmp_path / "pipe")]) == 0
+        sub = read_report(tmp_path / "sub", "layout")["results"]
+        pipe = read_report(tmp_path / "pipe", "pipeline")["results"]
+        assert sub.items() <= pipe.items()
+        for name in ("layout.net", "layout.svg"):
+            assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "pipe" / name).read_bytes()
+
+    def test_factor_results_and_table_match_pipeline(self, tmp_path, records_file):
+        assert run(["factor", "--in", str(records_file), "--factors", "2",
+                    "--out", str(tmp_path / "sub")]) == 0
+        assert run(["pipeline", "--in", str(records_file), "--steps", "factor",
+                    "--factors", "2", "--out", str(tmp_path / "pipe")]) == 0
+        sub = read_report(tmp_path / "sub", "factor")["results"]
+        pipe = read_report(tmp_path / "pipe", "pipeline")["results"]
+        assert sub.items() <= pipe.items()
+        for name in ("loadings.csv", "loadings.txt"):
+            assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "pipe" / name).read_bytes()
+
+    def test_prox_shift_file_equals_pipeline_shift_file(self, tmp_path, records_file):
+        assert run(["prox", "--in", str(records_file), "--measure", "pearson", "--shift",
+                    "--out", str(tmp_path / "sub")]) == 0
+        assert run(["pipeline", "--in", str(records_file), "--steps", "pearson,shift",
+                    "--out", str(tmp_path / "pipe")]) == 0
+        assert not (tmp_path / "sub" / "shift.csv").exists()
+        assert ((tmp_path / "sub" / "pearson.csv").read_bytes()
+                == (tmp_path / "pipe" / "shift.csv").read_bytes())
+
+    def test_pipeline_mds_reports_converged(self, tmp_path, records_file):
+        assert run(["pipeline", "--in", str(records_file), "--steps", "pearson,shift,mds",
+                    "--out", str(tmp_path / "pipe")]) == 0
+        assert read_report(tmp_path / "pipe", "pipeline")["results"]["converged"] is True

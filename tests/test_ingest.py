@@ -254,3 +254,25 @@ class TestBuiltinDatasets:
         parsed = parse_square_matrix("\n".join(lines) + "\n", "dissimilarity")
         assert parsed.labels == cities.labels
         np.testing.assert_array_equal(np.asarray(parsed.data), D)
+
+
+class TestRecordsRefuseUnreadableNames:
+    @pytest.mark.parametrize("label", ["a:b", "a;b", "a\tb", "a\nb", "a\rb", " a", "a ", ""])
+    def test_attribute_label_refused(self, label):
+        A = OccurrenceMatrix(("d1",), (label, "z"), [[1, 1]])
+        with pytest.raises(ValueError, match="attribute label") as info:
+            serialize_records(A)
+        assert repr(label) in str(info.value)
+
+    @pytest.mark.parametrize("doc_id", ["#1", "d:1", "d;1", "d\t1", "d\n1", " d1", ""])
+    def test_document_id_refused(self, doc_id):
+        A = OccurrenceMatrix((doc_id,), ("a", "b"), [[1, 0]])
+        with pytest.raises(ValueError, match="document id") as info:
+            serialize_records(A)
+        assert repr(doc_id) in str(info.value)
+
+    def test_inner_space_and_hash_in_label_round_trip(self):
+        A = OccurrenceMatrix(("d#1", "d 2"), ("#a", "b c"), [[1, 0], [2, 1]])
+        B = parse_records(serialize_records(A))
+        assert B.rows == A.rows and B.cols == A.cols
+        assert np.array_equal(np.asarray(B.data), np.asarray(A.data))

@@ -263,3 +263,41 @@ class TestSvgExport:
         assert root.tag.endswith("svg")
         texts = [el.text for el in root.iter() if el.tag.endswith("text")]
         assert "alpha" in texts and "beta" in texts
+
+
+class TestSinglePathSearch:
+    @pytest.mark.parametrize("graph", [
+        WeightedGraph(("a", "b", "c", "d", "e"), ((0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0))),
+        WeightedGraph(tuple("abcdef"), ((0, 2, 1.0), (2, 4, 1.0), (1, 3, 5.0))),
+    ], ids=["two-components", "with-isolated-node"])
+    def test_all_pairs_bfs_runs_once_per_layout(self, monkeypatch, graph):
+        import cocmap.layout as layout_module
+
+        calls = []
+        real = layout_module.shortest_path_lengths
+
+        def counting(G):
+            calls.append(G)
+            return real(G)
+
+        monkeypatch.setattr(layout_module, "shortest_path_lengths", counting)
+        kamada_kawai(graph)
+        assert len(calls) == 1
+
+    def test_components_in_smallest_member_order(self):
+        from cocmap.layout import _components
+
+        G = WeightedGraph(tuple("abcdef"), ((1, 4, 1.0), (0, 5, 1.0), (5, 3, 1.0)))
+        assert _components(shortest_path_lengths(G)) == [[0, 3, 5], [1, 4], [2]]
+
+
+class TestPajekQuotes:
+    def test_double_quote_label_refused_with_its_name(self):
+        G = WeightedGraph(('a"b', "a'b", "c"), ((0, 1, 1.0), (1, 2, 1.0)))
+        with pytest.raises(ValueError, match="a\"b"):
+            export_pajek(G)
+
+    def test_apostrophe_label_round_trips(self):
+        G = WeightedGraph(("a'b", "c"), ((0, 1, 1.0),))
+        H, _ = import_pajek(export_pajek(G))
+        assert H.node_labels == ("a'b", "c")
