@@ -284,7 +284,10 @@ def _cmd_build(args) -> int:
 
 def _cmd_prox(args) -> int:
     names = [args.measure]
-    if args.measure == "pearson" and args.shift:
+    if args.shift:
+        if args.measure != "pearson":
+            raise UsageError(f"--shift applies only to --measure pearson, "
+                             f"not {args.measure}")
         names.append("shift")
     _, report = _run(args, "prox", [(s, STAGES[s]) for s in names],
                      lambda _: {"measure": args.measure, "shift": bool(args.shift),

@@ -175,10 +175,14 @@ def varimax(L: LoadingsMatrix, kaiser_normalize: bool = True, tol: float = 1e-6,
     orthogonal rotations.  With ``kaiser_normalize`` the rows are scaled to
     unit communality before rotation and rescaled afterwards.  Row
     communalities are invariant under the rotation; the criterion never
-    decreases across sweeps.
+    decreases across sweeps.  A single factor has nothing to rotate against,
+    so one-factor loadings come back unchanged after zero sweeps.
     """
-    if L.n_factors < 2:
-        raise ValueError("varimax needs at least two factors")
+    if L.n_factors < 1:
+        raise ValueError("varimax needs at least one factor")
+    if L.n_factors == 1:
+        return LoadingsMatrix(L.variable_labels, L.loadings, L.eigenvalues,
+                              L.explained_variance_pct, rotation="varimax")
     A = np.array(L.loadings, dtype=float)
     comm = np.sqrt((A**2).sum(axis=1))
     if kaiser_normalize:

@@ -303,11 +303,14 @@ def export_pajek(G: WeightedGraph, layout: LayoutResult | None = None) -> str:
     Vertex ids are 1-based, labels double-quoted, lines ``\\n``-terminated.
     When a layout is given, coordinates are normalized into [0, 1] and
     appended to the vertex lines.  The format cannot carry a double quote
-    inside a label, so a label containing ``"`` raises ``ValueError``.
+    or a line break inside a label, so a label containing ``"``, ``\\n``,
+    ``\\r`` or another line boundary raises ``ValueError``.
     """
     for label in G.node_labels:
         if '"' in label:
             raise ValueError(f"Pajek labels cannot contain a double quote: {label!r}")
+        if "".join(label.splitlines()) != label:
+            raise ValueError(f"Pajek labels cannot contain a line break: {label!r}")
     lines = [f"*Vertices {G.n}"]
     coords = None
     if layout is not None:

@@ -15,6 +15,8 @@ iteration the dissimilarities are optimally transformed into *disparities*:
 * ``ordinal``  -- monotone (isotonic) regression of the configuration
   distances in ascending ``delta`` order, with tied proximities untied (tied
   blocks are ordered by current distance and may receive distinct values).
+  The ``delta`` order is sorted once per fit; each iteration re-sorts only
+  inside its tie blocks.
 
 Disparities are rescaled every outer iteration so that their weighted sum
 of squares equals ``n (n - 1) / 2``, which pins the stress denominator and
@@ -102,46 +104,78 @@ class Configuration:
         object.__setattr__(self, "stress_history", tuple(float(s) for s in self.stress_history))
 
 
+def _pool_adjacent_violators(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Isotonic fit of ``y``, taken in the given order, with weights ``w > 0``.
+
+    Numpy passes pool first: every run of adjacent blocks whose means do
+    not increase shares one value in the fit, so each pass merges all such
+    runs at once, summing their weights and weighted values with
+    ``np.bincount``.  The solution is unique whatever the pooling order, so
+    this is exact.  Passes alone are quadratic on a cascade such as
+    ``[0, 1, ..., n - 2, -1e9]``, so once a pass pools fewer than one block
+    in eight, the classic stack loop finishes over the surviving blocks.
+    """
+    n = len(y)
+    means, sums, wsums = y, w * y, w
+    first = np.arange(n)  # the position of each block's first element
+    while len(means) > 1:
+        new_block = np.concatenate(([True], means[1:] > means[:-1]))
+        block = np.cumsum(new_block) - 1
+        pooled = len(means) - 1 - int(block[-1])
+        if pooled == 0:  # strictly increasing: this is the fit
+            return np.repeat(means, np.diff(first, append=n))
+        last_pass = 8 * pooled < len(means)
+        sums = np.bincount(block, sums)
+        wsums = np.bincount(block, wsums)
+        first = first[new_block]
+        means = sums / wsums
+        if last_pass:
+            break
+    stack_m: list[float] = []
+    stack_s: list[float] = []
+    stack_w: list[float] = []
+    stack_f: list[int] = []
+    for m, s, wt, f in zip(means.tolist(), sums.tolist(), wsums.tolist(), first.tolist()):
+        while stack_m and stack_m[-1] >= m:
+            stack_m.pop()
+            s += stack_s.pop()
+            wt += stack_w.pop()
+            f = stack_f.pop()
+            m = s / wt
+        stack_m.append(m)
+        stack_s.append(s)
+        stack_w.append(wt)
+        stack_f.append(f)
+    sizes = np.diff(np.array(stack_f, dtype=np.intp), append=n)
+    return np.repeat(np.array(stack_m, dtype=float), sizes)
+
+
 def monotone_regression(values, order=None, weights=None) -> np.ndarray:
     """Weighted isotonic (monotone non-decreasing) regression by PAVA.
 
     Fits the non-decreasing sequence closest in weighted least squares to
-    ``values`` taken in ``order`` (indices into ``values``; identity when
-    omitted), and returns the fitted values in the original positions.
+    ``values`` taken in ``order`` (a permutation of the positions of
+    ``values``; identity when omitted), and returns the fitted values in the
+    original positions.  ``ValueError`` unless the weights are finite,
+    positive and one per value, and ``order`` is such a permutation.
     """
     y = np.asarray(values, dtype=float)
-    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
-    if order is not None:
-        order = np.asarray(order, dtype=int)
-        yo, wo = y[order], w[order]
+    if weights is None:
+        w = np.ones_like(y)
     else:
-        yo, wo = y.copy(), w.copy()
-    # pool adjacent violators over (value, weight) blocks
-    means: list[float] = []
-    wsums: list[float] = []
-    sizes: list[int] = []
-    for val, wt in zip(yo, wo):
-        means.append(float(val))
-        wsums.append(float(wt))
-        sizes.append(1)
-        while len(means) > 1 and means[-2] >= means[-1]:
-            m2, w2, s2 = means.pop(), wsums.pop(), sizes.pop()
-            m1, w1, s1 = means.pop(), wsums.pop(), sizes.pop()
-            wt_total = w1 + w2
-            pooled = (m1 * w1 + m2 * w2) / wt_total if wt_total > 0 else (m1 + m2) / 2
-            means.append(pooled)
-            wsums.append(wt_total)
-            sizes.append(s1 + s2)
-    fitted = np.empty_like(yo)
-    pos = 0
-    for m, s in zip(means, sizes):
-        fitted[pos:pos + s] = m
-        pos += s
-    if order is not None:
-        out = np.empty_like(fitted)
-        out[order] = fitted
-        return out
-    return fitted
+        w = np.asarray(weights, dtype=float)
+        if w.shape != y.shape:
+            raise ValueError(f"{len(w)} weights for {len(y)} values")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("weights must be finite and positive")
+    if order is None:
+        return _pool_adjacent_violators(y, w)
+    order = np.asarray(order, dtype=int)
+    if order.shape != y.shape or not np.array_equal(np.sort(order), np.arange(len(y))):
+        raise ValueError(f"order must be a permutation of the {len(y)} value positions")
+    out = np.empty_like(y)
+    out[order] = _pool_adjacent_violators(y[order], w[order])
+    return out
 
 
 def classical_init(D, k: int) -> np.ndarray:
@@ -223,7 +257,31 @@ def _fit_nonneg_affine(delta, dist, w):
     return best
 
 
-def transform_disparities(delta, dist, level: str, mask) -> np.ndarray:
+def _fixed_pairs(delta, mask, level: str):
+    """The part of a disparity transformation that stays fixed during a fit.
+
+    Returns ``(pairs, dv, ranks)``: the flat row-major indices of the masked
+    ``i < j`` pairs, their dissimilarities, and, at the ordinal level only,
+    ``ranks = (order, tied, groups)``: the stable ascending order of ``dv``,
+    the positions in it whose value is shared with a neighbour, and the tie
+    block number of each of those positions.
+    """
+    n = mask.shape[0]
+    rows, cols = np.triu_indices(n, 1)
+    sel = mask[rows, cols]
+    pairs = rows[sel] * n + cols[sel]
+    dv = delta.take(pairs)
+    if level != "ordinal":
+        return pairs, dv, None
+    order = np.argsort(dv, kind="stable")
+    ds = dv[order]
+    same = ds[1:] == ds[:-1]
+    tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+    groups = np.cumsum(np.r_[True, ~same])[tied]
+    return pairs, dv, (order, tied, groups)
+
+
+def transform_disparities(delta, dist, level: str, mask, *, fixed=None) -> np.ndarray:
     """Optimal level-bound transformation of configuration distances.
 
     Given input dissimilarities ``delta`` and current configuration
@@ -231,37 +289,37 @@ def transform_disparities(delta, dist, level: str, mask) -> np.ndarray:
     for the requested measurement level over the pairs selected by ``mask``
     (symmetric boolean, diagonal False).  Ties in the ordinal case are
     untied: tied ``delta`` blocks are ordered by current distance.
+    ``fixed`` is ``_fixed_pairs(delta, mask, level)``, which :func:`mds`
+    computes once per fit; it is computed here when omitted.
     """
-    n = delta.shape[0]
-    iu = np.triu_indices(n, 1)
-    sel = mask[iu]
-    dv = delta[iu][sel]
-    xv = dist[iu][sel]
+    pairs, dv, ranks = _fixed_pairs(delta, mask, level) if fixed is None else fixed
+    xv = dist.take(pairs)
     if level == "ratio":
         denom = float((dv * dv).sum())
         b = float((dv * xv).sum()) / denom if denom > 0 else 0.0
         fitted = max(b, 0.0) * dv
-        if not np.any(fitted > 0):
-            fitted = dv.copy()
     elif level == "interval":
         a, b = _fit_nonneg_affine(dv, xv, np.ones_like(dv))
         fitted = a + b * dv
-        if not np.any(fitted > 0):
-            fitted = dv.copy()
     elif level == "ordinal":
-        order = np.lexsort((xv, dv))
-        fitted = monotone_regression(xv, order=order)
+        # untie: re-sort each tie block by current distance, then by index,
+        # which is the order np.lexsort((xv, dv)) gives
+        order, tied, groups = ranks
+        if len(tied):
+            order = order.copy()
+            block = order[tied]
+            order[tied] = block[np.lexsort((xv[block], groups))]
+        fitted = np.empty_like(xv)
+        fitted[order] = _pool_adjacent_violators(xv[order], np.ones_like(xv))
         fitted = np.maximum(fitted, 0.0)
-        if not np.any(fitted > 0):
-            fitted = dv.copy()
     else:
         raise ValueError(f"unknown level {level!r}")
-    out = np.zeros((n, n))
-    tmp = np.zeros(sel.shape[0])
-    tmp[sel] = fitted
-    out[iu] = tmp
-    out = out + out.T
-    return out
+    if not np.any(fitted > 0):
+        fitted = dv.copy()
+    out = np.zeros(dist.size)
+    out[pairs] = fitted
+    out = out.reshape(dist.shape)
+    return out + out.T
 
 
 def _stress(dhat, dist, mask, denom) -> float:
@@ -298,6 +356,7 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
     if not np.any(finite > 0):
         raise DegenerateInput("all off-diagonal dissimilarities are zero")
     uniform = bool(mask.sum() == n * (n - 1))
+    fixed = _fixed_pairs(delta, mask, cfg.level)
 
     npairs = n * (n - 1) / 2.0
 
@@ -351,7 +410,8 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
         if cfg.level == "ratio":
             pass  # with the fixed normalization, ratio disparities never move
         else:
-            dhat = normalize(transform_disparities(delta, dist, cfg.level, mask))
+            dhat = normalize(transform_disparities(delta, dist, cfg.level, mask,
+                                                   fixed=fixed))
         stress = _stress(dhat, dist, mask, npairs)
         history.append(stress)
         if history[-2] - history[-1] < cfg.epsilon:

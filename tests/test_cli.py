@@ -81,6 +81,17 @@ class TestBuildAndProx:
         text = (out / "pearson.csv").read_text()
         assert "0.295875" in text  # (A, D) cell at full precision
 
+    @pytest.mark.parametrize("measure", ["cosine", "jaccard", "euclidean"])
+    def test_shift_on_non_pearson_measure_is_usage_error(self, tmp_path, records_file,
+                                                         capsys, measure):
+        out = tmp_path / "out"
+        code = run(["prox", "--in", str(records_file), "--measure", measure,
+                    "--shift", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--shift" in err and measure in err
+        assert not out.exists()
+
     def test_zero_variance_column_is_a_data_error(self, tmp_path):
         path = tmp_path / "records.txt"
         path.write_text("d1\tA;B\nd2\tA;B\n", encoding="utf-8")
@@ -169,6 +180,15 @@ class TestFactorCommand:
         assert (out / "loadings.txt").exists()
         report = read_report(out, "factor")
         assert len(report["results"]["eigenvalues"]) == 4
+
+    def test_defaults_with_one_kaiser_factor(self, tmp_path, capsys):
+        # figure 2 has one eigenvalue above 1, and varimax is the default
+        out = tmp_path / "out"
+        assert run(["factor", "--builtin", "figure2", "--out", str(out)]) == 0
+        results = read_report(out, "factor")["results"]
+        assert len(results["explained_variance_pct"]) == 1
+        assert results["rotation_iterations"] == 0
+        assert "(varimax;" in capsys.readouterr().out
 
 
 class TestLayoutCommand:

@@ -221,9 +221,17 @@ class TestVarimax:
         rotated, T, _ = _varimax_sweeps(A, 1e-6, 100)
         np.testing.assert_allclose(rotated, A @ T, atol=1e-9)
 
-    def test_needs_two_factors(self):
+    def test_one_factor_is_returned_unrotated(self):
         L = LoadingsMatrix(("a", "b"), [[0.9], [0.8]], (1.45,), (72.5,))
-        with pytest.raises(ValueError):
+        V = varimax(L)
+        np.testing.assert_array_equal(V.loadings, L.loadings)
+        assert V.eigenvalues == L.eigenvalues
+        assert V.explained_variance_pct == L.explained_variance_pct
+        assert (V.rotation, V.rotation_iterations) == ("varimax", 0)
+
+    def test_needs_a_factor(self):
+        L = LoadingsMatrix(("a", "b"), np.zeros((2, 0)), (1.0, 1.0), ())
+        with pytest.raises(ValueError, match="at least one factor"):
             varimax(L)
 
     def test_rotation_iterations_recorded(self):

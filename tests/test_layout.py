@@ -301,3 +301,18 @@ class TestPajekQuotes:
         G = WeightedGraph(("a'b", "c"), ((0, 1, 1.0),))
         H, _ = import_pajek(export_pajek(G))
         assert H.node_labels == ("a'b", "c")
+
+
+class TestPajekLineBreaks:
+    @pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\r\nb", "ab\n", "a\u2028b"])
+    def test_line_break_label_refused_with_its_name(self, label):
+        G = WeightedGraph((label, "c"), ((0, 1, 1.0),))
+        with pytest.raises(ValueError, match="line break") as info:
+            export_pajek(G)
+        assert repr(label) in str(info.value)
+
+    def test_ordinary_labels_round_trip(self):
+        G = WeightedGraph(("alpha beta", "x-1", "c"), ((0, 1, 2.0), (1, 2, 1.0)))
+        H, _ = import_pajek(export_pajek(G))
+        assert H.node_labels == G.node_labels
+        assert H.edges == G.edges

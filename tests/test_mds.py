@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocmap import (
     DegenerateConfiguration,
@@ -18,6 +20,7 @@ from cocmap import (
     to_dissimilarity,
     transform_disparities,
 )
+from cocmap.mds import _fixed_pairs
 
 
 def brute_force_isotonic(values, weights=None):
@@ -46,6 +49,51 @@ def brute_force_isotonic(values, weights=None):
         if err < best_err - 1e-15:
             best, best_err = fitted, err
     return best
+
+
+def stack_pava(values, weights=None):
+    """Reference: the element-by-element pool-adjacent-violators stack loop.
+
+    This is the loop ``monotone_regression`` ran before its numpy passes;
+    it fits ``values`` in the given order.
+    """
+    y = np.asarray(values, dtype=float)
+    w = np.ones_like(y) if weights is None else np.asarray(weights, dtype=float)
+    means: list[float] = []
+    wsums: list[float] = []
+    sizes: list[int] = []
+    for val, wt in zip(y, w):
+        means.append(float(val))
+        wsums.append(float(wt))
+        sizes.append(1)
+        while len(means) > 1 and means[-2] >= means[-1]:
+            m2, w2, s2 = means.pop(), wsums.pop(), sizes.pop()
+            m1, w1, s1 = means.pop(), wsums.pop(), sizes.pop()
+            means.append((m1 * w1 + m2 * w2) / (w1 + w2))
+            wsums.append(w1 + w2)
+            sizes.append(s1 + s2)
+    return np.repeat(means, sizes)
+
+
+def ordinal_reference(delta, dist, mask):
+    """Reference ordinal disparities: one ``np.lexsort((xv, dv))`` untie and
+    the stack loop, over the masked upper-triangle pairs."""
+    n = delta.shape[0]
+    iu = np.triu_indices(n, 1)
+    sel = mask[iu]
+    dv, xv = delta[iu][sel], dist[iu][sel]
+    order = np.lexsort((xv, dv))
+    fitted = np.empty_like(xv)
+    fitted[order] = stack_pava(xv[order])
+    upper = np.zeros(len(sel))
+    upper[sel] = np.maximum(fitted, 0.0)
+    out = np.zeros((n, n))
+    out[iu] = upper
+    return out + out.T
+
+
+# the upper-triangle pair count of a 150-point matrix
+PAIRS_150 = 150 * 149 // 2
 
 
 def random_dissimilarity(rng, n):
@@ -97,6 +145,76 @@ class TestMonotoneRegression:
                 brute_force_isotonic(y, w),
                 atol=1e-12,
             )
+
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.0, 1.0], [1.0, -2.0, 1.0],
+                                         [1.0, np.nan, 1.0], [1.0, np.inf, 1.0]])
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="weights must be finite and positive"):
+            monotone_regression([1.0, 2.0, 3.0], weights=weights)
+
+    def test_weight_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="2 weights for 3 values"):
+            monotone_regression([1.0, 2.0, 3.0], weights=[1.0, 1.0])
+
+    @pytest.mark.parametrize("order", [[0, 1], [0, 1, 2, 3], [0, 0, 1], [0, 1, 3]])
+    def test_order_must_be_a_permutation(self, order):
+        with pytest.raises(ValueError, match="permutation of the 3 value positions"):
+            monotone_regression([1.0, 2.0, 3.0], order=order)
+
+
+class TestMonotoneRegressionAtScale:
+    @pytest.mark.parametrize("kind", ["random", "noisy-trend", "cascade", "weighted"])
+    def test_matches_stack_loop(self, kind):
+        rng = np.random.default_rng(3)
+        n = PAIRS_150
+        weights = None
+        if kind == "random":
+            y = rng.standard_normal(n)
+        elif kind == "noisy-trend":
+            y = np.linspace(0.0, 5.0, n) + rng.normal(scale=0.3, size=n)
+        elif kind == "cascade":
+            y = np.r_[np.arange(n - 1, dtype=float), -1e9]
+        else:
+            y = np.linspace(0.0, 5.0, n) + rng.normal(scale=1.0, size=n)
+            weights = rng.uniform(0.05, 20.0, size=n)
+        np.testing.assert_allclose(
+            monotone_regression(y, weights=weights), stack_pava(y, weights),
+            rtol=1e-12, atol=1e-12,
+        )
+
+    def test_order_argument_matches_stack_loop(self):
+        rng = np.random.default_rng(4)
+        y = rng.standard_normal(PAIRS_150)
+        order = rng.permutation(PAIRS_150)
+        expected = np.empty_like(y)
+        expected[order] = stack_pava(y[order])
+        np.testing.assert_allclose(monotone_regression(y, order=order), expected,
+                                   rtol=1e-12, atol=1e-12)
+
+
+values_with_ties = st.one_of(
+    st.floats(-1e3, 1e3, allow_nan=False),
+    st.integers(-3, 3).map(float),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_monotone_regression_blocks_are_weighted_means(data):
+    n = data.draw(st.integers(1, 60))
+    y = np.array(data.draw(st.lists(values_with_ties, min_size=n, max_size=n)))
+    w = np.array(data.draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n)))
+    order = np.array(data.draw(st.permutations(range(n))), dtype=int)
+    fitted = monotone_regression(y, order=order, weights=w)[order]
+    yo, wo = y[order], w[order]
+    tol = 1e-10 * max(1.0, float(np.abs(y).max()))
+    assert np.all(np.diff(fitted) >= 0)
+    # pooled blocks are exactly the runs of one fitted value
+    starts = np.flatnonzero(np.r_[True, fitted[1:] != fitted[:-1]])
+    for a, b in zip(starts, np.r_[starts[1:], n]):
+        mean = float((wo[a:b] * yo[a:b]).sum() / wo[a:b].sum())
+        assert abs(fitted[a] - mean) <= tol
 
 
 class TestClassicalInit:
@@ -332,3 +450,38 @@ class TestDisparities:
         dh = transform_disparities(delta, dist, "interval", mask)
         iu = np.triu_indices(3, 1)
         np.testing.assert_allclose(dh[iu], 2.0 * delta[iu] + 0.5, atol=1e-9)
+
+    def test_ordinal_tied_counts_match_lexsort_reference(self):
+        # co-citation-like integer counts: few distinct values, many ties
+        rng = np.random.default_rng(14)
+        n = 60
+        counts = np.triu(rng.poisson(1.5, size=(n, n)), 1)
+        counts = counts + counts.T
+        delta = (counts.max() - counts).astype(float)
+        np.fill_diagonal(delta, 0.0)
+        mask = ~np.eye(n, dtype=bool)
+        mask[3, 7] = mask[7, 3] = mask[0, 59] = mask[59, 0] = False
+        iu = np.triu_indices(n, 1)
+        assert len(np.unique(delta[iu])) < 12
+        # one fixed part serves every iteration of a fit, as in mds()
+        fixed = _fixed_pairs(delta, mask, "ordinal")
+        for _ in range(3):
+            # points on a small grid, so distances tie inside delta ties too
+            X = rng.integers(0, 4, size=(n, 2)).astype(float)
+            dist = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
+            expected = ordinal_reference(delta, dist, mask)
+            for got in (transform_disparities(delta, dist, "ordinal", mask),
+                        transform_disparities(delta, dist, "ordinal", mask, fixed=fixed)):
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    def test_ordinal_continuous_delta_matches_lexsort_reference(self):
+        rng = np.random.default_rng(15)
+        delta = np.asarray(random_dissimilarity(rng, 150).data)
+        X = rng.normal(size=(150, 3))
+        dist = np.sqrt(((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
+        mask = ~np.eye(150, dtype=bool)
+        np.testing.assert_allclose(
+            transform_disparities(delta, dist, "ordinal", mask),
+            ordinal_reference(delta, dist, mask),
+            rtol=1e-12, atol=1e-12,
+        )
