@@ -65,8 +65,8 @@ def _coords_csv(labels, coords) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["label"] + [f"dim{i + 1}" for i in range(coords.shape[1])])
-    for label, row in zip(labels, np.asarray(coords)):
-        writer.writerow([label] + [repr(float(v)) for v in row])
+    for label, row in zip(labels, np.asarray(coords, dtype=float)):
+        writer.writerow([label] + list(map(repr, row.tolist())))
     return out.getvalue()
 
 
@@ -542,3 +542,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

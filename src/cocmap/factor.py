@@ -2,9 +2,12 @@
 
 Extraction starts from the column-pairwise Pearson correlation matrix of an
 occurrence matrix; loadings for the top factors are eigenvectors scaled by
-the square roots of their eigenvalues.  Rotation is the classic pairwise
+the square roots of their eigenvalues.  Rotation is Kaiser's pairwise
 planar varimax procedure with optional Kaiser normalization (rows scaled to
-unit communality before rotating, rescaled after).
+unit communality before rotating, rescaled after).  Each sweep visits every
+factor pair once in round-robin order: rounds of disjoint pairs, each round
+rotated in one numpy step.  Rotated factors are returned in descending order
+of explained variance.
 
 The symmetric eigensolver is a thin wrapper over LAPACK's symmetric driver
 (``np.linalg.eigh``) that fixes the eigenvalue order and eigenvector signs;
@@ -140,30 +143,52 @@ def _varimax_criterion(L: np.ndarray) -> float:
     return float(((L**4).sum(axis=0) / p - (sq.sum(axis=0) / p) ** 2).sum())
 
 
+def _round_robin(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rounds of disjoint column pairs ``(a, b)``, ``a < b``, by the circle method.
+
+    Column 0 stays put while the others turn one place per round, so every
+    unordered pair of the ``m`` columns meets exactly once: ``m - 1`` rounds
+    of ``m / 2`` pairs for even ``m``; for odd ``m`` a dummy column sits one
+    column out per round, giving ``m`` rounds of ``(m - 1) / 2`` pairs.
+    """
+    n = m + m % 2
+    ring = np.arange(1, n)
+    rounds = []
+    for _ in range(n - 1):
+        order = np.concatenate(([0], ring))
+        a, b = order[: n // 2], order[::-1][: n // 2]
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        rounds.append((lo[hi < m], hi[hi < m]))
+        ring = np.roll(ring, 1)
+    return rounds
+
+
 def _varimax_sweeps(L: np.ndarray, tol: float, max_sweeps: int):
-    """Pairwise planar varimax rotations; returns (rotated, T, criterion path)."""
-    A = L.copy()
-    p, m = A.shape
-    T = np.eye(m)
-    history = [_varimax_criterion(A)]
+    """Planar varimax rotations in round-robin sweeps; returns (rotated, T, criterion path).
+
+    Each round rotates a set of disjoint column pairs at once (the
+    parallel-Jacobi ordering of Brent & Luk, 1985).  Disjoint rotations touch
+    disjoint columns and the criterion is a sum over columns, so each pair
+    gets Kaiser's (1958) criterion-maximizing angle ``phi = atan2(num, den) / 4``
+    independently.  With ``z = x + iy`` for the pair's columns and
+    ``w = z**2``, ``den + i*num = sum(w**2) - sum(w)**2 / p``, and the rotation
+    is ``z * exp(-i*phi)``.  ``T`` is stacked under the loadings so both turn
+    together; the criterion is recorded once per sweep.
+    """
+    p, m = L.shape
+    S = np.vstack([L, np.eye(m)])
+    rounds = _round_robin(m)
+    history = [_varimax_criterion(L)]
     for sweep in range(1, max_sweeps + 1):
-        for a in range(m - 1):
-            for b in range(a + 1, m):
-                x, y = A[:, a], A[:, b]
-                u = x**2 - y**2
-                v = 2.0 * x * y
-                su, sv = u.sum(), v.sum()
-                num = 2.0 * (u * v).sum() - 2.0 * su * sv / p
-                den = (u**2 - v**2).sum() - (su**2 - sv**2) / p
-                phi = 0.25 * np.arctan2(num, den)
-                if abs(phi) < 1e-15:
-                    continue
-                c, s = np.cos(phi), np.sin(phi)
-                A[:, a], A[:, b] = c * x + s * y, -s * x + c * y
-                T[:, [a, b]] = T[:, [a, b]] @ np.array([[c, -s], [s, c]])
-        history.append(_varimax_criterion(A))
+        for a, b in rounds:
+            z = S[:, a] + 1j * S[:, b]
+            w = z[:p] ** 2
+            q = (w * w).sum(axis=0) - w.sum(axis=0) ** 2 / p
+            z *= np.exp(-0.25j * np.angle(q))
+            S[:, a], S[:, b] = z.real, z.imag
+        history.append(_varimax_criterion(S[:p]))
         if history[-1] - history[-2] < tol:
-            return A, T, history
+            return S[:p].copy(), S[p:].copy(), history
     raise NoConvergence(f"varimax did not converge within {max_sweeps} sweeps")
 
 
@@ -175,7 +200,10 @@ def varimax(L: LoadingsMatrix, kaiser_normalize: bool = True, tol: float = 1e-6,
     orthogonal rotations.  With ``kaiser_normalize`` the rows are scaled to
     unit communality before rotation and rescaled afterwards.  Row
     communalities are invariant under the rotation; the criterion never
-    decreases across sweeps.  A single factor has nothing to rotate against,
+    decreases across sweeps.  The rotated columns come back in one canonical
+    order, by descending explained variance (a stable sort, so ties keep
+    their rotation order), then signed so each column's largest-magnitude
+    loading is positive.  A single factor has nothing to rotate against,
     so one-factor loadings come back unchanged after zero sweeps.
     """
     if L.n_factors < 1:
@@ -191,14 +219,14 @@ def varimax(L: LoadingsMatrix, kaiser_normalize: bool = True, tol: float = 1e-6,
     rotated, _T, history = _varimax_sweeps(A, tol, max_sweeps)
     if kaiser_normalize:
         rotated = rotated * safe[:, None]
-    rotated = _fix_column_signs(rotated)
-    p = A.shape[0]
-    pct = tuple(100.0 * float((rotated[:, j] ** 2).sum()) / p for j in range(rotated.shape[1]))
+    ss = (rotated**2).sum(axis=0)
+    order = np.argsort(-ss, kind="stable")
+    rotated = _fix_column_signs(rotated[:, order])
     return LoadingsMatrix(
         L.variable_labels,
         rotated,
         L.eigenvalues,
-        pct,
+        tuple(100.0 * ss[order] / A.shape[0]),
         rotation="varimax",
         rotation_iterations=len(history) - 1,
     )
@@ -219,7 +247,7 @@ def loadings_to_csv(L: LoadingsMatrix) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([""] + [f"factor{j + 1}" for j in range(L.n_factors)])
     for label, row in zip(L.variable_labels, np.asarray(L.loadings)):
-        writer.writerow([label] + [repr(float(v)) for v in row])
+        writer.writerow([label] + list(map(repr, row.tolist())))
     return out.getvalue()
 
 

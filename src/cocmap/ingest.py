@@ -256,22 +256,23 @@ def parse_square_matrix(text: str, kind: str, level: str = "ratio"):
     return ProximityMatrix(tuple(header), sym, kind=kind, level=level)
 
 
-def _format_number(v) -> str:
-    f = float(v)
-    if f == int(f) and abs(f) < 1e15:
-        return str(int(f))
-    return repr(f)
-
-
 def serialize_square_matrix(M) -> str:
-    """Serialize a square matrix (proximity or co-occurrence) to labeled CSV."""
-    labels = M.labels
-    data = np.asarray(M.data)
+    """Serialize a square matrix (proximity or co-occurrence) to labeled CSV.
+
+    Whole numbers below 1e15 in magnitude print as integers (``-0.0`` as
+    ``0``), other values by ``repr`` of the float, and NaN as an empty cell.
+    """
+    data = np.asarray(M.data, dtype=float)
+    nan = np.isnan(data)
+    whole = (data == np.trunc(data)) & (np.abs(data) < 1e15)
+    rest = ~(whole | nan)
+    cells = np.full(data.shape, "", dtype=object)
+    cells[whole] = list(map(str, data[whole].astype(np.int64).tolist()))
+    cells[rest] = list(map(repr, data[rest].tolist()))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + list(labels))
-    for label, row in zip(labels, data):
-        writer.writerow([label] + ["" if np.isnan(float(v)) else _format_number(v) for v in row])
+    writer.writerow([""] + list(M.labels))
+    writer.writerows([label] + row for label, row in zip(M.labels, cells.tolist()))
     return out.getvalue()
 
 

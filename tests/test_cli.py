@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,3 +329,42 @@ class TestSubcommandPipelineParity:
         assert run(["pipeline", "--in", str(records_file), "--steps", "pearson,shift,mds",
                     "--out", str(tmp_path / "pipe")]) == 0
         assert read_report(tmp_path / "pipe", "pipeline")["results"]["converged"] is True
+
+
+def per_cell_coords_csv(labels, coords):
+    """Test-only reference: the cell-by-cell writer that ``row.tolist()`` replaced."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["label"] + [f"dim{i + 1}" for i in range(coords.shape[1])])
+    for label, row in zip(labels, np.asarray(coords)):
+        writer.writerow([label] + [repr(float(v)) for v in row])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("coords", [
+    np.array([[-0.0, 1e16], [5e-324, 0.1 + 0.2], [3.0, -1e-300]]),
+    np.array([[1, -2], [0, 7], [3, 4]]),
+    np.random.default_rng(16).standard_normal((3, 3)),
+])
+def test_coords_csv_matches_the_per_cell_reference(coords):
+    labels = ("a", 'q"b,c', "d e")
+    assert _coords_csv(labels, coords) == per_cell_coords_csv(labels, coords)
+
+
+@pytest.mark.parametrize("module", ["cocmap", "cocmap.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, module):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "factor", "--builtin", "figure2", "--out", "o"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "(varimax;" in proc.stdout
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == [
+        "factor_report.json", "loadings.csv", "loadings.txt"]
+    assert read_report(tmp_path / "o", "factor")["command"] == "factor"
+    bad = subprocess.run([sys.executable, "-m", module, "factor"], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 2
+    assert "provide --in FILE or --builtin NAME" in bad.stderr

@@ -1,7 +1,13 @@
 """Symmetric eigensolver, principal components, and varimax rotation."""
 
+import csv
+import io
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocmap import (
     LoadingsMatrix,
@@ -15,13 +21,85 @@ from cocmap import (
     pca_from_occurrence,
     varimax,
 )
-from cocmap.factor import _varimax_sweeps
+from cocmap.factor import _round_robin, _varimax_criterion, _varimax_sweeps
 
 
 def random_correlation(rng, p):
     """Correlation matrix of random data; PSD up to roundoff by construction."""
     X = rng.standard_normal((p + 5, p))
     return np.corrcoef(X, rowvar=False)
+
+
+def factor_correlation(rng, p, m):
+    """Correlation of ``p`` variables that each load 0.6-0.9 on one of ``m`` factors.
+
+    About one loading in five elsewhere gets a small cross-loading; the
+    unique variances fill the diagonal to one.
+    """
+    W = np.zeros((p, m))
+    W[np.arange(p), np.arange(p) % m] = rng.uniform(0.6, 0.9, size=p)
+    W += 0.1 * rng.standard_normal((p, m)) * (rng.random((p, m)) < 0.2)
+    W *= np.minimum(1.0, 0.95 / np.sqrt((W**2).sum(axis=1)))[:, None]
+    R = W @ W.T
+    np.fill_diagonal(R, 1.0)
+    return R
+
+
+def serial_varimax_sweeps(L, tol, max_sweeps):
+    """Test-only reference: every factor pair in turn, ``for a ... for b ...``.
+
+    This is the element-by-element loop the round-robin sweeps replaced.
+    """
+    A = L.copy()
+    p, m = A.shape
+    T = np.eye(m)
+    history = [_varimax_criterion(A)]
+    for sweep in range(1, max_sweeps + 1):
+        for a in range(m - 1):
+            for b in range(a + 1, m):
+                x, y = A[:, a], A[:, b]
+                u = x**2 - y**2
+                v = 2.0 * x * y
+                su, sv = u.sum(), v.sum()
+                num = 2.0 * (u * v).sum() - 2.0 * su * sv / p
+                den = (u**2 - v**2).sum() - (su**2 - sv**2) / p
+                phi = 0.25 * np.arctan2(num, den)
+                if abs(phi) < 1e-15:
+                    continue
+                c, s = np.cos(phi), np.sin(phi)
+                A[:, a], A[:, b] = c * x + s * y, -s * x + c * y
+                T[:, [a, b]] = T[:, [a, b]] @ np.array([[c, -s], [s, c]])
+        history.append(_varimax_criterion(A))
+        if history[-1] - history[-2] < tol:
+            return A, T, history
+    raise NoConvergence(f"varimax did not converge within {max_sweeps} sweeps")
+
+
+def canonical_columns(L):
+    """Columns by descending sum of squares (stable), largest entry positive."""
+    L = L[:, np.argsort(-(L**2).sum(axis=0), kind="stable")]
+    peak = L[np.argmax(np.abs(L), axis=0), np.arange(L.shape[1])]
+    return L * np.where(peak < 0, -1.0, 1.0)
+
+
+def best_pair_gain(L, a, b):
+    """Largest criterion gain of one planar rotation of columns ``a`` and ``b``.
+
+    Takes the best of Kaiser's closed-form angle and a 0.05-degree grid; the
+    criterion is a sum over columns, so only the two rotated columns count.
+    """
+    x, y = L[:, a:a + 1], L[:, b:b + 1]
+    u, v = x**2 - y**2, 2.0 * x * y
+    p = L.shape[0]
+    num = 2.0 * (u * v).sum() - 2.0 * u.sum() * v.sum() / p
+    den = (u**2 - v**2).sum() - (u.sum() ** 2 - v.sum() ** 2) / p
+    phi = np.r_[0.0, 0.25 * np.arctan2(num, den), np.deg2rad(np.arange(-45.0, 45.0, 0.05))]
+    c, s = np.cos(phi), np.sin(phi)
+    pair = np.hstack([c * x + s * y, c * y - s * x])
+    sq = pair**2
+    crit = (sq**2).sum(axis=0) / p - (sq.sum(axis=0) / p) ** 2
+    crit = crit[: len(phi)] + crit[len(phi):]
+    return float(crit.max() - crit[0])
 
 
 class TestEigenSymmetric:
@@ -249,6 +327,81 @@ class TestVarimax:
             varimax(L, max_sweeps=0)
 
 
+class TestRoundRobinSchedule:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 9, 33])
+    def test_every_pair_once_per_sweep_in_disjoint_rounds(self, m):
+        rounds = _round_robin(m)
+        assert len(rounds) == (m - 1 if m % 2 == 0 else m)
+        pairs = []
+        for a, b in rounds:
+            assert len(a) == len(b) == m // 2
+            assert np.all(a < b)
+            assert len(set(a.tolist()) | set(b.tolist())) == 2 * len(a)
+            pairs += zip(a.tolist(), b.tolist())
+        assert sorted(pairs) == list(combinations(range(m), 2))
+
+    def test_two_mixed_pairs_rotate_to_simple_structure(self):
+        # two independent 45-degree mixtures: the polar (SVD) iteration
+        # stalls at its start here, the pairwise sweep must still escape
+        h = np.sqrt(0.5)
+        block = np.array([[h, h], [h, -h]])
+        mixed = np.kron(np.eye(2), block)
+        mixed = np.repeat(mixed, [3, 2, 4, 1], axis=0)
+        L = LoadingsMatrix(tuple(f"x{i}" for i in range(10)), mixed,
+                           (2.5, 2.5, 2.5, 2.5), (25.0, 25.0, 25.0, 25.0))
+        rotated = np.abs(np.asarray(varimax(L, kaiser_normalize=False).loadings))
+        np.testing.assert_allclose(rotated.max(axis=1), 1.0, atol=1e-6)
+        assert np.sort(rotated, axis=1)[:, :-1].max() < 1e-6
+        # each factor takes one group of identical rows, largest group first
+        np.testing.assert_allclose((rotated**2).sum(axis=0), [4.0, 3.0, 2.0, 1.0], atol=1e-9)
+
+    @pytest.mark.parametrize("structured", [True, False])
+    @pytest.mark.parametrize("p,m,seed", [(60, 10, 31), (61, 11, 32), (120, 17, 33)])
+    def test_no_planar_rotation_raises_the_criterion(self, p, m, seed, structured):
+        rng = np.random.default_rng(seed)
+        R = factor_correlation(rng, p, m) if structured else random_correlation(rng, p)
+        L = pca_from_correlation(R, n_factors=m)
+        tol = 1e-6
+        V = np.asarray(varimax(L, kaiser_normalize=False, tol=tol).loadings)
+        worst = max(best_pair_gain(V, a, b) for a, b in combinations(range(m), 2))
+        assert worst <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_round_robin_sweeps_keep_the_rotation_contract(m, extra_rows, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m + extra_rows, m))
+    rotated, T, history = _varimax_sweeps(A, 1e-6, 500)
+    assert np.all(np.diff(history) >= -1e-12)
+    np.testing.assert_allclose(T.T @ T, np.eye(m), atol=1e-9)
+    np.testing.assert_allclose(rotated, A @ T, atol=1e-9)
+    np.testing.assert_allclose((rotated**2).sum(axis=1), (A**2).sum(axis=1), atol=1e-9)
+
+
+class TestAgainstSerialSweeps:
+    @pytest.mark.parametrize("p,m,seed", [(30, 5, 41), (60, 12, 42), (100, 33, 43)])
+    def test_same_criterion_and_canonical_loadings(self, p, m, seed):
+        rng = np.random.default_rng(seed)
+        L = pca_from_correlation(factor_correlation(rng, p, m), n_factors=m)
+        A = np.asarray(L.loadings)
+        comm = np.sqrt((A**2).sum(axis=1))
+        _, _, history = _varimax_sweeps(A / comm[:, None], 1e-6, 100)
+        serial, _, serial_history = serial_varimax_sweeps(A / comm[:, None], 1e-6, 100)
+        assert history[-1] == pytest.approx(serial_history[-1], rel=1e-6)
+        V = np.asarray(varimax(L).loadings)
+        np.testing.assert_array_equal(V, canonical_columns(V))
+        np.testing.assert_allclose(V, canonical_columns(serial * comm[:, None]), atol=2e-3)
+
+    def test_explained_variance_never_increases(self):
+        rng = np.random.default_rng(44)
+        for p, m in [(6, 2), (9, 3), (20, 5), (40, 8), (60, 13)]:
+            L = pca_from_correlation(factor_correlation(rng, p, m), n_factors=m)
+            for kaiser in (True, False):
+                pct = varimax(L, kaiser_normalize=kaiser).explained_variance_pct
+                assert np.all(np.diff(pct) <= 0)
+
+
 class TestScatterAndExports:
     def test_pure_variable_plots_at_its_loading(self):
         L = LoadingsMatrix(
@@ -284,3 +437,27 @@ class TestScatterAndExports:
         small = [f"{v:.3f}" for v in np.asarray(L.loadings).ravel() if 0 < abs(v) < 0.10]
         for s in small:
             assert s not in table
+
+
+def per_cell_loadings_csv(L):
+    """Test-only reference: the cell-by-cell writer that ``row.tolist()`` replaced."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([""] + [f"factor{j + 1}" for j in range(L.n_factors)])
+    for label, row in zip(L.variable_labels, np.asarray(L.loadings)):
+        writer.writerow([label] + [repr(float(v)) for v in row])
+    return out.getvalue()
+
+
+def test_loadings_csv_matches_the_per_cell_reference():
+    edge = [-0.0, 0.0, 3.0, 1e16, 1e-300, 5e-324, -0.1, 0.1 + 0.2]
+    loadings = np.array(edge + [0.5] * 4).reshape(6, 2)
+    L = LoadingsMatrix(("a", "b,c", "d", "e", "f", "g"), loadings, (1e32, 10.0), (1.0, 2.0),
+                       rotation="varimax")
+    text = loadings_to_csv(L)
+    assert text == per_cell_loadings_csv(L)
+    assert text.splitlines()[1] == "a,-0.0,0.0"
+    assert text.splitlines()[2] == '"b,c",3.0,1e+16'
+    rng = np.random.default_rng(15)
+    V = varimax(pca_from_correlation(factor_correlation(rng, 100, 33), n_factors=33))
+    assert loadings_to_csv(V) == per_cell_loadings_csv(V)

@@ -1,5 +1,7 @@
 """Record/matrix parsing, serialization round-trips, and bundled data."""
 
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -276,3 +278,57 @@ class TestRecordsRefuseUnreadableNames:
         B = parse_records(serialize_records(A))
         assert B.rows == A.rows and B.cols == A.cols
         assert np.array_equal(np.asarray(B.data), np.asarray(A.data))
+
+
+def per_cell_square_csv(M):
+    """Test-only reference: the cell-by-cell serializer the numpy masks replaced."""
+
+    def format_number(v):
+        f = float(v)
+        if f == int(f) and abs(f) < 1e15:
+            return str(int(f))
+        return repr(f)
+
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([""] + list(M.labels))
+    for label, row in zip(M.labels, np.asarray(M.data)):
+        writer.writerow([label] + ["" if np.isnan(float(v)) else format_number(v) for v in row])
+    return out.getvalue()
+
+
+class TestSquareSerializerBytes:
+    EDGE_VALUES = [np.nan, -0.0, 3.0, -3.0, 1e16, -1e16, 1e15, 999999999999999.0,
+                   -999999999999999.0, 0.5, -2.5, 1e-300, 5e-324, 2.0**53 + 2, 0.1 + 0.2]
+
+    def test_edge_values_match_the_per_cell_reference(self):
+        rng = np.random.default_rng(21)
+        n = 120
+        R = np.corrcoef(rng.standard_normal((200, n)), rowvar=False)
+        for k, v in enumerate(self.EDGE_VALUES):
+            i, j = 2 * k, 2 * k + 1
+            R[i, j] = R[j, i] = v
+        R[5, 5] = np.nan
+        P = ProximityMatrix(tuple(f"v{i}" for i in range(n)), R, kind="similarity")
+        text = serialize_square_matrix(P)
+        assert text == per_cell_square_csv(P)
+        rows = list(csv.reader(io.StringIO(text)))
+        cells = [rows[1 + 2 * k][2 + 2 * k] for k in range(5)]
+        assert cells == ["", "0", "3", "-3", "1e+16"]
+        assert rows[6][6] == ""
+
+    def test_counts_match_the_per_cell_reference(self):
+        rng = np.random.default_rng(22)
+        C = rng.poisson(3.0, size=(250, 250))
+        C = C + C.T
+        C[0, 1] = C[1, 0] = 2**53 + 1  # above float64's exact range
+        M = CooccurrenceMatrix(tuple(f"a{i}" for i in range(250)), C)
+        assert serialize_square_matrix(M) == per_cell_square_csv(M)
+
+    def test_dissimilarities_match_the_per_cell_reference(self):
+        M = builtin_dataset("cities")
+        assert serialize_square_matrix(M) == per_cell_square_csv(M)
+        d = np.array([[0.0, 1.5, np.nan], [1.5, 0.0, 2.0], [np.nan, 2.0, 0.0]])
+        P = ProximityMatrix(("a", "b,c", "d"), d, kind="dissimilarity")
+        assert serialize_square_matrix(P) == per_cell_square_csv(P)
+        assert serialize_square_matrix(P) == ',a,"b,c",d\na,0,1.5,\n"b,c",1.5,0,2\nd,,2,0\n'
