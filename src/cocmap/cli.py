@@ -181,7 +181,7 @@ def _write_layout(value, out_dir: Path, stem: str):
     paths = [_write(out_dir / "layout.net", layout_mod.export_pajek(graph, result)),
              _write(out_dir / "layout.svg", layout_mod.export_svg(graph, result))]
     return paths, {"final_energy": result.final_energy, "iterations": result.iterations,
-                   "nodes": graph.n, "edges": len(graph.edges)}
+                   "converged": result.converged, "nodes": graph.n, "edges": len(graph.edges)}
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +319,7 @@ def _cmd_layout(args) -> int:
     _, report = _run(args, "layout", [("layout", STAGES["layout"])],
                      lambda _: {"threshold": args.threshold})
     print(f"energy {report['results']['final_energy']:.6f} "
-          f"after {report['results']['iterations']} vertex passes")
+          f"after {report['results']['iterations']} iterations")
     return 0
 
 

@@ -7,22 +7,24 @@ line thickness in the rendered output, never the geometry -- so rescaling
 all weights leaves positions bit-identical.
 
 The spring energy is ``sum_{i<j} k_ij (|x_i - x_j| - L d_ij)^2`` with
-graph-theoretic distances ``d_ij`` and stiffness ``k_ij = K / d_ij^2``.
-Minimization follows the original scheme: repeatedly pick the vertex with
-the largest energy gradient and relax it with damped 2x2 Newton steps.
-Steps are only accepted when they lower the energy, so the energy at
-termination never exceeds the energy at the circular start layout.
+graph-theoretic distances ``d_ij`` and stiffness ``k_ij = 1 / d_ij^2``.
+That is weighted raw stress, so each component is fitted by the SMACOF
+core of :mod:`cocmap.mds` (stress majorization, Gansner, Koren & North
+2004): every iteration moves all vertices at once and cannot raise the
+energy, so the energy at termination never exceeds the energy at the
+circular start layout.  A stiffness constant ``K`` would only scale the
+energy, never the positions, so none is offered.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DisconnectedGraph
 from .matrices import CooccurrenceMatrix
+from .mds import MdsConfig, _smacof
 
 
 @dataclass(frozen=True)
@@ -63,28 +65,32 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class LayoutConfig:
-    """Spring-embedding knobs; the defaults match the documented method guide."""
+    """Spring-embedding settings.
+
+    ``edge_length`` is the desired length ``L`` of one hop and the padding
+    between packed components.  With ``pack_components`` false a
+    disconnected graph raises :class:`DisconnectedGraph`.
+    """
 
     edge_length: float = 1.0
-    spring_constant: float = 1.0
-    gradient_tol: float = 1e-4
-    max_passes: int = 500
-    newton_steps: int = 50
     pack_components: bool = True
 
 
 @dataclass(frozen=True, eq=False)
 class LayoutResult:
-    """Final 2-D positions with the energy and vertex passes spent.
+    """Final 2-D positions with the spring energy and the SMACOF iterations spent.
 
-    ``initial_energy`` is the spring energy of the circular start layout;
-    accepted relaxation steps only ever lower it.
+    ``iterations`` sums the iterations over the components, and
+    ``converged`` is true when every component stopped on the energy change
+    rather than at the iteration cap.  ``initial_energy`` is the spring
+    energy of the circular start layout; majorization only ever lowers it.
     """
 
     positions: np.ndarray
     final_energy: float
     iterations: int
     initial_energy: float = 0.0
+    converged: bool = True
 
     def __post_init__(self):
         pos = np.ascontiguousarray(np.asarray(self.positions, dtype=float))
@@ -110,22 +116,26 @@ def graph_from_cooccurrence(M: CooccurrenceMatrix, threshold: int = 1) -> Weight
 
 
 def shortest_path_lengths(G: WeightedGraph) -> np.ndarray:
-    """All-pairs BFS hop counts on the binarized graph; unreachable pairs are inf."""
+    """All-pairs BFS hop counts on the binarized graph; unreachable pairs are inf.
+
+    The search advances every source's frontier at once: one product with
+    the dense adjacency matrix per hop.
+    """
     n = G.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, _ in G.edges:
-        adj[i].append(j)
-        adj[j].append(i)
+    A = np.zeros((n, n))
+    if G.edges:
+        i, j = np.array([(i, j) for i, j, _ in G.edges]).T
+        A[i, j] = A[j, i] = 1.0
     dist = np.full((n, n), np.inf)
-    for start in range(n):
-        dist[start, start] = 0.0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if dist[start, v] == np.inf:
-                    dist[start, v] = dist[start, u] + 1.0
-                    queue.append(v)
+    np.fill_diagonal(dist, 0.0)
+    reached = np.eye(n, dtype=bool)
+    frontier = reached
+    hops = 0
+    while frontier.any():
+        hops += 1
+        frontier = ((frontier @ A) > 0) & ~reached
+        dist[frontier] = hops
+        reached |= frontier
     return dist
 
 
@@ -139,93 +149,6 @@ def _components(hops: np.ndarray) -> list[list[int]]:
             placed[comp] = True
             comps.append(comp.tolist())
     return comps
-
-
-def _energy(X: np.ndarray, K: np.ndarray, L: np.ndarray) -> float:
-    n = X.shape[0]
-    e = 0.0
-    for i in range(n - 1):
-        d = np.sqrt(((X[i + 1:] - X[i]) ** 2).sum(axis=1))
-        e += float((K[i, i + 1:] * (d - L[i, i + 1:]) ** 2).sum())
-    return e
-
-
-def _vertex_energy(X, K, L, m) -> float:
-    d = np.sqrt(((X - X[m]) ** 2).sum(axis=1))
-    d[m] = 0.0
-    terms = K[m] * (d - L[m]) ** 2
-    terms[m] = 0.0
-    return float(terms.sum())
-
-
-def _gradient(X, K, L, m):
-    diff = X[m] - X
-    d = np.sqrt((diff**2).sum(axis=1))
-    d[m] = 1.0
-    factor = K[m] * (1.0 - L[m] / np.maximum(d, 1e-300))
-    factor[m] = 0.0
-    g = 2.0 * (factor[:, None] * diff).sum(axis=0)
-    return g
-
-
-def _hessian(X, K, L, m):
-    diff = X[m] - X
-    d2 = (diff**2).sum(axis=1)
-    d = np.sqrt(d2)
-    d[m] = 1.0
-    d3 = np.maximum(d * d * d, 1e-300)
-    k = K[m].copy()
-    k[m] = 0.0
-    dx, dy = diff[:, 0], diff[:, 1]
-    hxx = 2.0 * (k * (1.0 - L[m] * dy * dy / d3)).sum()
-    hyy = 2.0 * (k * (1.0 - L[m] * dx * dx / d3)).sum()
-    hxy = 2.0 * (k * L[m] * dx * dy / d3).sum()
-    return hxx, hyy, hxy
-
-
-def _relax_component(X: np.ndarray, K: np.ndarray, L: np.ndarray, cfg: LayoutConfig):
-    """Worst-gradient vertex relaxation; returns (positions, energy, passes)."""
-    n = X.shape[0]
-    passes = 0
-    for _ in range(cfg.max_passes):
-        grads = [np.sqrt((_gradient(X, K, L, m) ** 2).sum()) for m in range(n)]
-        m = int(np.argmax(grads))
-        if grads[m] < cfg.gradient_tol:
-            break
-        passes += 1
-        improved = False
-        for _ in range(cfg.newton_steps):
-            g = _gradient(X, K, L, m)
-            if np.sqrt((g**2).sum()) < cfg.gradient_tol:
-                break
-            hxx, hyy, hxy = _hessian(X, K, L, m)
-            det = hxx * hyy - hxy * hxy
-            if abs(det) < 1e-12:
-                step = -g * 0.1
-            else:
-                step = np.array(
-                    [(-g[0] * hyy + g[1] * hxy) / det,
-                     (g[0] * hxy - g[1] * hxx) / det]
-                )
-            before = _vertex_energy(X, K, L, m)
-            scale = 1.0
-            moved = False
-            for _ in range(30):
-                candidate = X[m] + scale * step
-                old = X[m].copy()
-                X[m] = candidate
-                after = _vertex_energy(X, K, L, m)
-                if after < before:
-                    moved = True
-                    improved = True
-                    break
-                X[m] = old
-                scale *= 0.5
-            if not moved:
-                break
-        if not improved:
-            break  # worst vertex cannot be improved; a local minimum
-    return X, _energy(X, K, L), passes
 
 
 def kamada_kawai(G: WeightedGraph, cfg: LayoutConfig = LayoutConfig()) -> LayoutResult:
@@ -247,7 +170,8 @@ def kamada_kawai(G: WeightedGraph, cfg: LayoutConfig = LayoutConfig()) -> Layout
     positions = np.zeros((n, 2))
     total_energy = 0.0
     initial_energy = 0.0
-    total_passes = 0
+    total_iterations = 0
+    all_converged = True
     placed: list[tuple[list[int], np.ndarray]] = []
     for comp in comps:
         k = len(comp)
@@ -256,17 +180,21 @@ def kamada_kawai(G: WeightedGraph, cfg: LayoutConfig = LayoutConfig()) -> Layout
             continue
         d = hops[np.ix_(comp, comp)]
         L = cfg.edge_length * d
-        with np.errstate(divide="ignore"):
-            K = cfg.spring_constant / np.maximum(d, 1e-300) ** 2
-        np.fill_diagonal(K, 0.0)
+        W = 1.0 / np.where(d > 0, d, 1.0) ** 2
+        np.fill_diagonal(W, 0.0)
         # circular start in label order, scaled to the component diameter
         radius = cfg.edge_length * max(float(d.max()), 1.0) / 2.0
         angles = 2.0 * np.pi * np.arange(k) / k
         X = radius * np.column_stack([np.cos(angles), np.sin(angles)])
-        initial_energy += _energy(X, K, L)
-        X, energy, passes = _relax_component(X, K, L, cfg)
-        total_energy += energy
-        total_passes += passes
+        # stop as mds() does by default
+        X, history, iterations, converged = _smacof(W, L, X, MdsConfig.epsilon,
+                                                    MdsConfig.max_iterations)
+        # the history is normalized by the energy's weighted target sum
+        scale = float((W * L * L).sum()) / 2
+        initial_energy += history[0] * scale
+        total_energy += history[-1] * scale
+        total_iterations += iterations
+        all_converged &= converged
         placed.append((comp, X - X.mean(axis=0)))
     # pack component bounding boxes on a grid with one edge length of padding
     pad = cfg.edge_length
@@ -284,7 +212,8 @@ def kamada_kawai(G: WeightedGraph, cfg: LayoutConfig = LayoutConfig()) -> Layout
         positions[comp] = X + offset
         x_cursor += size[0] + pad
         row_height = max(row_height, float(size[1]))
-    return LayoutResult(positions, total_energy, total_passes, initial_energy)
+    return LayoutResult(positions, total_energy, total_iterations, initial_energy,
+                        all_converged)
 
 
 # ---------------------------------------------------------------------------

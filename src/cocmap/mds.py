@@ -29,11 +29,13 @@ over the upper-triangle pairs (diagonal weight 0, missing proximities
 weight 0).  Note sigma_n is the square of Kruskal's stress-1 for the same
 disparities, so cross-software comparisons must square or root accordingly.
 Each majorization step cannot increase sigma_n, so the recorded stress
-sequence is non-increasing.
+sequence is non-increasing.  The iteration itself is a weighted SMACOF core
+that the Kamada-Kawai layout of :mod:`cocmap.layout` shares.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,8 +229,11 @@ def procrustes_align(X, Y):
 
 def _pairwise_distances(X: np.ndarray) -> np.ndarray:
     sq = (X**2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    return np.sqrt(np.maximum(d2, 0.0))
+    # (sq_i + sq_j) - 2 G_ij, in place; that order keeps the result symmetric
+    d2 = sq[:, None] + sq
+    d2 -= 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2, out=d2)
 
 
 def _fit_nonneg_affine(delta, dist, w):
@@ -322,9 +327,63 @@ def transform_disparities(delta, dist, level: str, mask, *, fixed=None) -> np.nd
     return out + out.T
 
 
-def _stress(dhat, dist, mask, denom) -> float:
-    diff = np.where(mask, dhat - dist, 0.0)
-    return float(np.triu(diff**2, 1).sum()) / denom
+def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
+    """Weighted SMACOF: minimize ``sum_{i<j} W_ij (targets_ij - d_ij(X))^2``.
+
+    ``W`` is a symmetric non-negative weight matrix with a zero diagonal,
+    ``targets`` the symmetric target distances and ``X`` the start.  Each
+    iteration is one Guttman transform ``X = V+ B(X) X`` (``V`` the weighted
+    Laplacian; with all-ones weights ``V+`` acts as ``1/n`` on centered
+    configurations), after which ``update(dist)``, when given, returns the
+    targets for the new distances.  Returns ``(X, history, iterations,
+    converged)``: ``history`` holds the normalized raw stress
+    ``sum_w (targets - d)^2 / sum_w targets^2`` at the start and after every
+    iteration, and the run has converged once an iteration lowers it by
+    less than ``epsilon``.
+    """
+    n = len(X)
+    Vplus = None
+    if not np.array_equal(W, 1.0 - np.eye(n)):
+        V = np.diag(W.sum(axis=1)) - W
+        values, vectors = eigen_symmetric(V)
+        inv = np.where(values > 1e-12 * max(values.max(), 1.0), 1.0 / np.where(values > 0, values, 1.0), 0.0)
+        Vplus = (vectors * inv) @ vectors.T
+    w = W.ravel()
+
+    def weigh(T):
+        # W * T, and sum_w T^2; full-matrix sums count every pair twice,
+        # which cancels in the stress ratio
+        WT = W * T
+        return WT, float(np.dot(WT.ravel(), T.ravel()))
+
+    def stress(T, dist, norm) -> float:
+        r = T - dist
+        r *= r
+        return float(np.dot(w, r.ravel())) / norm
+
+    T = targets
+    WT, norm = weigh(T)
+    dist = _pairwise_distances(X)
+    history = [stress(T, dist, norm)]
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        # B(X) X, with B(X)_ij = -W_ij T_ij / d_ij off the diagonal, 0 where d_ij = 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = WT / dist
+        ratio[dist == 0] = 0.0
+        BX = ratio.sum(axis=1)[:, None] * X - ratio @ X
+        X = BX / n if Vplus is None else Vplus @ BX
+        X -= X.mean(axis=0)
+        dist = _pairwise_distances(X)
+        if update is not None:
+            T = update(dist)
+            WT, norm = weigh(T)
+        history.append(stress(T, dist, norm))
+        if history[-2] - history[-1] < epsilon:
+            converged = True
+            break
+    return X, history, iterations, converged
 
 
 def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
@@ -333,7 +392,8 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
     Similarity inputs are converted internally (constant = matrix maximum)
     before fitting; dissimilarities are fitted directly.  Returns a centered
     :class:`Configuration` whose ``stress_history`` records the normalized
-    raw stress after every majorization step.
+    raw stress after every majorization step.  A point with no observed
+    dissimilarity is named in a warning: nothing places it.
     """
     kind = cfg.kind_override or P.kind
     if kind == "similarity":
@@ -355,14 +415,17 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
     finite = np.where(mask, delta, 0.0)
     if not np.any(finite > 0):
         raise DegenerateInput("all off-diagonal dissimilarities are zero")
-    uniform = bool(mask.sum() == n * (n - 1))
+    unobserved = [work.labels[i] for i in np.flatnonzero(~mask.any(axis=1))]
+    if unobserved:
+        warnings.warn(f"points without any observed dissimilarity: {unobserved}",
+                      stacklevel=2)
+    W = mask.astype(float)
     fixed = _fixed_pairs(delta, mask, cfg.level)
 
     npairs = n * (n - 1) / 2.0
 
     def normalize(dh: np.ndarray) -> np.ndarray:
-        ss = float(np.triu(np.where(mask, dh**2, 0.0), 1).sum())
-        return dh * np.sqrt(npairs / ss)
+        return dh * np.sqrt(npairs / (float((W * dh * dh).sum()) / 2))
 
     dhat = normalize(finite)
 
@@ -377,47 +440,16 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
         X -= X.mean(axis=0)
     dist = _pairwise_distances(X)
     # optimal dilation of the start so the first stress is scale-free
-    sxy = float(np.triu(np.where(mask, dhat * dist, 0.0), 1).sum())
-    sxx = float(np.triu(np.where(mask, dist**2, 0.0), 1).sum())
+    sxy = float((W * dhat * dist).sum())
+    sxx = float((W * dist * dist).sum())
     if sxx > 0 and sxy > 0:
         X = X * (sxy / sxx)
-        dist = dist * (sxy / sxx)
 
-    if not uniform:
-        W = mask.astype(float)
-        V = np.diag(W.sum(axis=1)) - W
-        values, vectors = eigen_symmetric(V)
-        inv = np.where(values > 1e-12 * max(values.max(), 1.0), 1.0 / np.where(values > 0, values, 1.0), 0.0)
-        Vplus = (vectors * inv) @ vectors.T
-
-    history = [_stress(dhat, dist, mask, npairs)]
-    converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
-        # Guttman transform for the current disparities
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(mask & (dist > 0), dhat / np.where(dist > 0, dist, 1.0), 0.0)
-        B = -ratio
-        np.fill_diagonal(B, 0.0)
-        np.fill_diagonal(B, -B.sum(axis=1))
-        if uniform:
-            X = (B @ X) / n
-        else:
-            X = Vplus @ (B @ X)
-        X = X - X.mean(axis=0)
-        dist = _pairwise_distances(X)
-        # optimal disparities for the new distances, then renormalize
-        if cfg.level == "ratio":
-            pass  # with the fixed normalization, ratio disparities never move
-        else:
-            dhat = normalize(transform_disparities(delta, dist, cfg.level, mask,
-                                                   fixed=fixed))
-        stress = _stress(dhat, dist, mask, npairs)
-        history.append(stress)
-        if history[-2] - history[-1] < cfg.epsilon:
-            converged = True
-            break
-
+    # with the fixed normalization, ratio disparities never move
+    update = None if cfg.level == "ratio" else (
+        lambda dist: normalize(transform_disparities(delta, dist, cfg.level, mask, fixed=fixed)))
+    X, history, iterations, converged = _smacof(W, dhat, X, cfg.epsilon, cfg.max_iterations,
+                                                update)
     return Configuration(
         labels=work.labels,
         coords=X,

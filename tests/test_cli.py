@@ -290,7 +290,7 @@ class TestSubcommandPipelineParity:
                     "--out", str(tmp_path / "pipe")]) == 0
         sub = read_report(tmp_path / "sub", "layout")["results"]
         pipe = read_report(tmp_path / "pipe", "pipeline")["results"]
-        assert set(sub) == {"final_energy", "iterations", "nodes", "edges"}
+        assert set(sub) == {"final_energy", "iterations", "converged", "nodes", "edges"}
         assert set(sub) <= set(pipe)
 
     def test_layout_results_match_pipeline_on_the_same_counts(self, tmp_path, records_file):

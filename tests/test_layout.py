@@ -1,6 +1,7 @@
 """Graph building, spring embedding, and Pajek/SVG serialization."""
 
 import xml.etree.ElementTree as ET
+from collections import deque
 
 import numpy as np
 import pytest
@@ -60,6 +61,50 @@ def random_connected_graph(rng, n):
     )
 
 
+def deque_hops(G):
+    """Reference all-pairs hop counts: one queue-driven BFS per source."""
+    adj = [[] for _ in range(G.n)]
+    for i, j, _ in G.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    dist = np.full((G.n, G.n), np.inf)
+    for start in range(G.n):
+        dist[start, start] = 0.0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if dist[start, v] == np.inf:
+                    dist[start, v] = dist[start, u] + 1.0
+                    queue.append(v)
+    return dist
+
+
+def random_graph(rng, n, p):
+    """Erdos-Renyi graph: often disconnected, often with isolated nodes."""
+    rows, cols = np.nonzero(np.triu(rng.random((n, n)) < p, 1))
+    return WeightedGraph(tuple(f"v{i}" for i in range(n)),
+                         tuple((i, j, 1.0) for i, j in zip(rows.tolist(), cols.tolist())))
+
+
+def spring_gradients(X, hops, edge_length=1.0):
+    """Per-vertex gradient norms of sum_{i<j} (|x_i - x_j| - L d_ij)^2 / d_ij^2."""
+    diff = X[:, None, :] - X[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=-1))
+    off = ~np.eye(len(X), dtype=bool)
+    factor = np.zeros_like(dist)
+    factor[off] = (1.0 - edge_length * hops[off] / dist[off]) / hops[off] ** 2
+    grad = 2.0 * (factor[:, :, None] * diff).sum(axis=1)
+    return np.sqrt((grad**2).sum(axis=1))
+
+
+def circular_start(hops, edge_length=1.0):
+    n = len(hops)
+    radius = edge_length * max(float(hops.max()), 1.0) / 2.0
+    angles = 2.0 * np.pi * np.arange(n) / n
+    return radius * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
 class TestGraphFromCooccurrence:
     def test_bundled_cocitation_matrix_gives_complete_graph(self):
         M = builtin_dataset("figure1")
@@ -109,6 +154,23 @@ class TestShortestPaths:
         G = WeightedGraph(("a", "b", "c"), ((0, 1, 1.0),))
         d = shortest_path_lengths(G)
         assert np.isinf(d[0, 2])
+
+    def test_edgeless_graph(self):
+        d = shortest_path_lengths(WeightedGraph(("a", "b", "c"), ()))
+        assert np.array_equal(d, np.where(np.eye(3, dtype=bool), 0.0, np.inf))
+
+    @pytest.mark.parametrize("p", [0.02, 0.05, 0.15, 0.5])
+    def test_matches_queue_bfs_on_random_graphs(self, p):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            G = random_graph(rng, int(rng.integers(1, 60)), p)
+            assert np.array_equal(shortest_path_lengths(G), deque_hops(G))
+
+    def test_matches_queue_bfs_on_connected_graphs(self):
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            G = random_connected_graph(rng, int(rng.integers(2, 80)))
+            assert np.array_equal(shortest_path_lengths(G), deque_hops(G))
 
 
 class TestKamadaKawai:
@@ -177,6 +239,30 @@ class TestKamadaKawai:
         a = kamada_kawai(G)
         b = kamada_kawai(G)
         assert np.array_equal(a.positions, b.positions)
+
+    def test_reported_energies_match_the_positions(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            G = random_connected_graph(rng, int(rng.integers(3, 30)))
+            hops = deque_hops(G)
+            result = kamada_kawai(G)
+            assert result.converged
+            for X, energy in ((circular_start(hops), result.initial_energy),
+                              (result.positions, result.final_energy)):
+                dist = np.sqrt(((X[:, None] - X[None]) ** 2).sum(-1))
+                iu = np.triu_indices(G.n, 1)
+                mine = float((((dist - hops)[iu] / hops[iu]) ** 2).sum())
+                assert abs(mine - energy) <= 1e-9 * mine
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_final_layout_is_stationary(self, seed):
+        # the spring energy's largest vertex gradient falls a hundredfold
+        rng = np.random.default_rng(100 + seed)
+        G = random_connected_graph(rng, int(rng.integers(100, 160)))
+        hops = deque_hops(G)
+        start = spring_gradients(circular_start(hops), hops).max()
+        final = spring_gradients(np.asarray(kamada_kawai(G).positions), hops).max()
+        assert final <= 1e-2 * start, final / start
 
 
 class TestPajekFormat:

@@ -1,8 +1,11 @@
 """SMACOF scaling, isotonic regression, classical start, and alignment."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cocmap import (
@@ -20,7 +23,7 @@ from cocmap import (
     to_dissimilarity,
     transform_disparities,
 )
-from cocmap.mds import _fixed_pairs
+from cocmap.mds import _fixed_pairs, _smacof
 
 
 def brute_force_isotonic(values, weights=None):
@@ -349,6 +352,25 @@ class TestMdsBasics:
         assert np.all(np.diff(seq) <= 1e-12)
         assert np.isfinite(result.stress)
 
+    def test_point_without_observations_is_named_in_a_warning(self):
+        cities = builtin_dataset("cities")
+        d = np.array(cities.data, dtype=float)
+        d[0, 1:] = d[1:, 0] = np.nan
+        P = ProximityMatrix(cities.labels, d, kind="dissimilarity")
+        with pytest.warns(UserWarning, match=re.escape(repr(cities.labels[0]))) as record:
+            mds(P, MdsConfig(dimensions=2))
+        assert not any(repr(label) in str(w.message)
+                       for w in record for label in cities.labels[1:])
+
+    def test_partly_missing_rows_do_not_warn(self):
+        cities = builtin_dataset("cities")
+        d = np.array(cities.data, dtype=float)
+        d[0, 2:] = d[2:, 0] = np.nan
+        P = ProximityMatrix(cities.labels, d, kind="dissimilarity")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mds(P, MdsConfig(dimensions=2))
+
     def test_kind_override_reverses_the_reading(self):
         # reading the mileage matrix as similarities must wreck the map
         cities = builtin_dataset("cities")
@@ -410,6 +432,28 @@ class TestMdsProperties:
             P = ProximityMatrix(tuple(f"p{i}" for i in range(n)), D, kind="dissimilarity")
             result = mds(P, MdsConfig(dimensions=k, epsilon=1e-14, max_iterations=500))
             assert result.stress < 1e-6
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 3), st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_smacof_core_stress_never_rises_under_random_weights(n, k, zeros, ones, seed):
+    # zeros: the share of pairs with weight 0; ones: all-ones weights instead
+    rng = np.random.default_rng(seed)
+    if ones:
+        W = 1.0 - np.eye(n)
+    else:
+        W = np.triu(rng.uniform(0.0, 5.0, (n, n)) * (rng.random((n, n)) >= zeros), 1)
+        W = W + W.T
+    T = np.triu(rng.uniform(0.0, 10.0, (n, n)) * (rng.random((n, n)) >= 0.2), 1)
+    T = T + T.T
+    assume(float((W * T * T).sum()) > 0)
+    X = rng.standard_normal((n, k))
+    _, history, iterations, converged = _smacof(W, T, X, 1e-12, 300)
+    h = np.array(history)
+    assert len(h) == iterations + 1
+    assert converged or iterations == 300
+    assert np.all(np.diff(h) <= 1e-12 * h[0]), h
 
 
 class TestDisparities:
