@@ -15,7 +15,6 @@ from .errors import (
     DegenerateConfiguration,
     DegenerateInput,
     DimensionTooLarge,
-    DisconnectedGraph,
     DuplicateDocId,
     LabelMismatch,
     MalformedLine,
@@ -47,9 +46,7 @@ from .ingest import (
     serialize_square_matrix,
 )
 from .layout import (
-    LayoutConfig,
     LayoutResult,
-    SvgStyle,
     WeightedGraph,
     export_pajek,
     export_svg,

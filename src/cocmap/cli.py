@@ -30,7 +30,7 @@ import numpy as np
 from . import factor as factor_mod
 from . import ingest, layout as layout_mod, matrices, proximity
 from .errors import CocmapError
-from .mds import MdsConfig, mds, procrustes_align
+from .mds import MEASUREMENT_LEVELS, MdsConfig, mds, procrustes_align
 from .matrices import CooccurrenceMatrix, OccurrenceMatrix, ProximityMatrix
 
 class UsageError(Exception):
@@ -89,19 +89,16 @@ def _load_proximity(args) -> tuple[ProximityMatrix, str]:
     if args.builtin:
         data = ingest.builtin_dataset(args.builtin)
         if isinstance(data, CooccurrenceMatrix):
-            data = ProximityMatrix(
-                data.labels, np.asarray(data.data, dtype=float),
-                kind=declared or "similarity", level=args.level,
-            )
+            data = ProximityMatrix(data.labels, np.asarray(data.data, dtype=float),
+                                   kind=declared or "similarity")
         if not isinstance(data, ProximityMatrix):
             raise CocmapError(f"builtin {args.builtin!r} is not a proximity matrix")
         if declared and declared != data.kind:
-            data = ProximityMatrix(data.labels, data.data, kind=declared,
-                                   level=args.level)
+            data = ProximityMatrix(data.labels, data.data, kind=declared)
         return data, _hash_text(args.builtin)
     text = Path(args.input).read_text(encoding="utf-8")
     return (
-        ingest.parse_square_matrix(text, declared or "dissimilarity", args.level),
+        ingest.parse_square_matrix(text, declared or "dissimilarity"),
         _hash_text(text),
     )
 
@@ -202,19 +199,15 @@ STAGES = {
     "affiliations": Stage("occurrence", "cooccurrence",
                           lambda A, a: matrices.affiliations(A), _write_square),
     "pearson": Stage("occurrence", "proximity",
-                     lambda A, a: proximity.pearson_columns(A, level=a.level),
-                     _write_square),
+                     lambda A, a: proximity.pearson_columns(A), _write_square),
     "shift": Stage("proximity", "proximity",
                    lambda P, a: proximity.shift_pearson(P), _write_square),
     "cosine": Stage("occurrence", "proximity",
-                    lambda A, a: proximity.cosine_columns(A, level=a.level),
-                    _write_square),
+                    lambda A, a: proximity.cosine_columns(A), _write_square),
     "jaccard": Stage("occurrence", "proximity",
-                     lambda A, a: proximity.jaccard_columns(A, level=a.level),
-                     _write_square),
+                     lambda A, a: proximity.jaccard_columns(A), _write_square),
     "euclidean": Stage("occurrence", "proximity",
-                       lambda A, a: proximity.euclidean_columns(A, level=a.level),
-                       _write_square),
+                       lambda A, a: proximity.euclidean_columns(A), _write_square),
     "to-dissimilarity": Stage("proximity", "proximity",
                               lambda P, a: proximity.to_dissimilarity(P), _write_square),
     "mds": Stage("proximity", "configuration",
@@ -290,8 +283,7 @@ def _cmd_prox(args) -> int:
                              f"not {args.measure}")
         names.append("shift")
     _, report = _run(args, "prox", [(s, STAGES[s]) for s in names],
-                     lambda _: {"measure": args.measure, "shift": bool(args.shift),
-                                "level": args.level})
+                     lambda _: {"measure": args.measure, "shift": bool(args.shift)})
     print(f"wrote {report['outputs'][0]}")
     return 0
 
@@ -431,12 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
 
     # each stage group's flags are declared once, for its subcommand and pipeline
-    def add_level(p):
-        p.add_argument("--level", choices=("ratio", "interval", "ordinal"),
-                       default="ratio")
-
     def add_mds_flags(p):
-        add_level(p)
+        p.add_argument("--level", choices=MEASUREMENT_LEVELS, default="ratio")
         p.add_argument("--dims", type=int, default=2)
         p.add_argument("--init", choices=("classical", "random"), default="classical")
         p.add_argument("--seed", type=int, default=None)
@@ -473,7 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="pearson")
     p.add_argument("--shift", action="store_true",
                    help="apply the (r+1)/2 shift after Pearson")
-    add_level(p)
     p.set_defaults(func=_cmd_prox)
 
     p = sub.add_parser("mds", help="scale a proximity matrix")

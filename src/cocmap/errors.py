@@ -99,16 +99,6 @@ class NoConvergence(CocmapError):
 
 
 # ---------------------------------------------------------------------------
-# layout
-# ---------------------------------------------------------------------------
-
-class DisconnectedGraph(CocmapError):
-    """The graph is disconnected and component packing was disabled."""
-
-    module = "layout"
-
-
-# ---------------------------------------------------------------------------
 # ingest
 # ---------------------------------------------------------------------------
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence
-from .matrices import OccurrenceMatrix, ProximityMatrix
+from .matrices import OccurrenceMatrix, ProximityMatrix, _freeze
 from .proximity import pearson_columns
 
 
@@ -94,9 +94,7 @@ class LoadingsMatrix:
             ss = (L**2).sum(axis=0)
             if any(abs(ss[j] - ev[j]) > 1e-8 for j in range(L.shape[1])):
                 raise ValueError("unrotated column sums of squares must equal eigenvalues")
-        L = np.ascontiguousarray(L)
-        L.flags.writeable = False
-        object.__setattr__(self, "loadings", L)
+        object.__setattr__(self, "loadings", _freeze(L))
         object.__setattr__(self, "eigenvalues", ev)
         object.__setattr__(self, "explained_variance_pct", pct)
 

@@ -10,7 +10,8 @@ Three text formats are supported:
 
 All parsers accept ``\\n`` and ``\\r\\n`` input and emit ``\\n``.  Labels are
 trimmed but case-sensitive; normalizing author-name variants is the caller's
-responsibility.
+responsibility.  Every serializer refuses, with a ``ValueError`` naming it,
+a label that its parser would not read back unchanged.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def builtin_dataset(name: str):
         for i, row in enumerate(_CITY_MILES, start=1):
             for j, v in enumerate(row):
                 d[i, j] = d[j, i] = v
-        return ProximityMatrix(_CITY_LABELS, d, kind="dissimilarity", level="ratio")
+        return ProximityMatrix(_CITY_LABELS, d, kind="dissimilarity")
     if name == "figure1":
         return CooccurrenceMatrix(_FIGURE1_LABELS, np.array(_FIGURE1_COUNTS), "zeroed")
     if name == "figure2":
@@ -153,7 +154,7 @@ def parse_records(text: str) -> OccurrenceMatrix:
     return OccurrenceMatrix(tuple(rows), cols, data)
 
 
-_RECORD_SEPARATORS = (":", ";", "\t", "\n", "\r")
+_RECORD_SEPARATORS = (":", ";", "\t")
 
 
 def serialize_records(A: OccurrenceMatrix) -> str:
@@ -163,13 +164,15 @@ def serialize_records(A: OccurrenceMatrix) -> str:
     get explicit ``label:0`` entries so the parse round-trip preserves the
     label sets exactly.  A label or document id that would not parse back
     unchanged raises ``ValueError`` naming it: empty, with leading or
-    trailing whitespace, or containing ``:``, ``;``, a tab, ``\\n`` or
-    ``\\r``; a document id may also not start with ``#``.
+    trailing whitespace, or containing ``:``, ``;``, a tab or a line
+    boundary (``\\n``, ``\\r`` or any other that ``str.splitlines`` splits
+    on); a document id may also not start with ``#``.
     """
     for what, names in (("attribute label", A.cols), ("document id", A.rows)):
         for name in names:
             if (not name or name != name.strip()
                     or any(c in name for c in _RECORD_SEPARATORS)
+                    or "".join(name.splitlines()) != name
                     or (what == "document id" and name.startswith("#"))):
                 raise ValueError(f"{what} {name!r} cannot be written to a record file")
     data = np.asarray(A.data)
@@ -196,14 +199,25 @@ def serialize_records(A: OccurrenceMatrix) -> str:
 # ---------------------------------------------------------------------------
 
 def _read_csv_rows(text: str) -> list[list[str]]:
-    return [row for row in csv.reader(io.StringIO(text)) if row]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        return [row for row in reader if row]
+    except csv.Error as exc:
+        raise MalformedLine(reader.line_num, str(exc)) from None
 
 
-def parse_square_matrix(text: str, kind: str, level: str = "ratio"):
+def _check_csv_labels(labels) -> None:
+    # the parsers strip labels, and a \r inside one breaks the CSV reader
+    for label in labels:
+        if label != label.strip() or "\r" in label:
+            raise ValueError(f"label {label!r} cannot be written to a CSV matrix")
+
+
+def parse_square_matrix(text: str, kind: str):
     """Parse a labeled square CSV matrix.
 
     ``kind`` selects the result type: ``"similarity"`` or ``"dissimilarity"``
-    yield a :class:`ProximityMatrix` at the given measurement level, while
+    yield a :class:`ProximityMatrix` of that kind, while
     ``"counts"`` yields a :class:`CooccurrenceMatrix`.  Blank or ``.`` cells
     are mirrored from the transposed cell, so lower-triangular input is
     accepted; if both triangles are present they must agree within 1e-9.
@@ -253,7 +267,7 @@ def parse_square_matrix(text: str, kind: str, level: str = "ratio"):
         raise ValueError(f"unknown square-matrix kind {kind!r}")
     # average residual float noise so the symmetry invariant holds exactly
     sym = (data + data.T) / 2.0
-    return ProximityMatrix(tuple(header), sym, kind=kind, level=level)
+    return ProximityMatrix(tuple(header), sym, kind=kind)
 
 
 def serialize_square_matrix(M) -> str:
@@ -261,7 +275,10 @@ def serialize_square_matrix(M) -> str:
 
     Whole numbers below 1e15 in magnitude print as integers (``-0.0`` as
     ``0``), other values by ``repr`` of the float, and NaN as an empty cell.
+    A label the parser would not read back unchanged (leading or trailing
+    whitespace, or a ``\\r``) raises ``ValueError`` naming it.
     """
+    _check_csv_labels(M.labels)
     data = np.asarray(M.data, dtype=float)
     nan = np.isnan(data)
     whole = (data == np.trunc(data)) & (np.abs(data) < 1e15)
@@ -299,7 +316,11 @@ def parse_rectangular_matrix(text: str) -> OccurrenceMatrix:
 
 
 def serialize_rectangular_matrix(A: OccurrenceMatrix) -> str:
-    """Serialize an occurrence matrix to labeled CSV."""
+    """Serialize an occurrence matrix to labeled CSV.
+
+    Labels are refused as by :func:`serialize_square_matrix`.
+    """
+    _check_csv_labels(A.rows + A.cols)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([""] + list(A.cols))

@@ -13,7 +13,9 @@ core of :mod:`cocmap.mds` (stress majorization, Gansner, Koren & North
 2004): every iteration moves all vertices at once and cannot raise the
 energy, so the energy at termination never exceeds the energy at the
 circular start layout.  A stiffness constant ``K`` would only scale the
-energy, never the positions, so none is offered.
+energy, never the positions, so none is offered; nor is ``L``, fixed at 1:
+the Pajek and SVG writers normalize the positions, so another ``L`` would
+only scale the energy by ``L^2``.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DisconnectedGraph
-from .matrices import CooccurrenceMatrix
+from .matrices import CooccurrenceMatrix, _as_labels, _freeze
 from .mds import MdsConfig, _smacof
 
 
@@ -35,9 +36,7 @@ class WeightedGraph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        labels = tuple(str(x) for x in self.node_labels)
-        if len(set(labels)) != len(labels):
-            raise ValueError("node labels contain duplicates")
+        labels = _as_labels(self.node_labels, "node")
         n = len(labels)
         seen = set()
         norm = []
@@ -63,19 +62,6 @@ class WeightedGraph:
         return len(self.node_labels)
 
 
-@dataclass(frozen=True)
-class LayoutConfig:
-    """Spring-embedding settings.
-
-    ``edge_length`` is the desired length ``L`` of one hop and the padding
-    between packed components.  With ``pack_components`` false a
-    disconnected graph raises :class:`DisconnectedGraph`.
-    """
-
-    edge_length: float = 1.0
-    pack_components: bool = True
-
-
 @dataclass(frozen=True, eq=False)
 class LayoutResult:
     """Final 2-D positions with the spring energy and the SMACOF iterations spent.
@@ -93,11 +79,10 @@ class LayoutResult:
     converged: bool = True
 
     def __post_init__(self):
-        pos = np.ascontiguousarray(np.asarray(self.positions, dtype=float))
+        pos = np.asarray(self.positions, dtype=float)
         if not np.all(np.isfinite(pos)):
             raise ValueError("positions must be finite")
-        pos.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "positions", _freeze(pos))
 
 
 def graph_from_cooccurrence(M: CooccurrenceMatrix, threshold: int = 1) -> WeightedGraph:
@@ -151,22 +136,18 @@ def _components(hops: np.ndarray) -> list[list[int]]:
     return comps
 
 
-def kamada_kawai(G: WeightedGraph, cfg: LayoutConfig = LayoutConfig()) -> LayoutResult:
-    """Spring embedding of a graph in the plane.
+def kamada_kawai(G: WeightedGraph) -> LayoutResult:
+    """Spring embedding of a graph in the plane, one hop of length 1.
 
     Disconnected graphs are laid out per component and the components packed
-    on a grid (padding one edge length) unless ``cfg.pack_components`` is
-    false, in which case :class:`DisconnectedGraph` is raised.  The start
-    layout places vertices on a circle in label order, so runs are
-    deterministic.
+    on a grid with a padding of one hop.  The start layout places vertices
+    on a circle in label order, so runs are deterministic.
     """
     n = G.n
     if n < 2:
         raise ValueError("layout needs at least two nodes")
     hops = shortest_path_lengths(G)
     comps = _components(hops)
-    if len(comps) > 1 and not cfg.pack_components:
-        raise DisconnectedGraph(f"graph has {len(comps)} components")
     positions = np.zeros((n, 2))
     total_energy = 0.0
     initial_energy = 0.0
@@ -179,25 +160,24 @@ def kamada_kawai(G: WeightedGraph, cfg: LayoutConfig = LayoutConfig()) -> Layout
             placed.append((comp, np.zeros((1, 2))))
             continue
         d = hops[np.ix_(comp, comp)]
-        L = cfg.edge_length * d
         W = 1.0 / np.where(d > 0, d, 1.0) ** 2
         np.fill_diagonal(W, 0.0)
         # circular start in label order, scaled to the component diameter
-        radius = cfg.edge_length * max(float(d.max()), 1.0) / 2.0
+        radius = max(float(d.max()), 1.0) / 2.0
         angles = 2.0 * np.pi * np.arange(k) / k
         X = radius * np.column_stack([np.cos(angles), np.sin(angles)])
         # stop as mds() does by default
-        X, history, iterations, converged = _smacof(W, L, X, MdsConfig.epsilon,
+        X, history, iterations, converged = _smacof(W, d, X, MdsConfig.epsilon,
                                                     MdsConfig.max_iterations)
         # the history is normalized by the energy's weighted target sum
-        scale = float((W * L * L).sum()) / 2
+        scale = float((W * d * d).sum()) / 2
         initial_energy += history[0] * scale
         total_energy += history[-1] * scale
         total_iterations += iterations
         all_converged &= converged
         placed.append((comp, X - X.mean(axis=0)))
-    # pack component bounding boxes on a grid with one edge length of padding
-    pad = cfg.edge_length
+    # pack component bounding boxes on a grid with one hop of padding
+    pad = 1.0
     cols = int(np.ceil(np.sqrt(len(placed))))
     x_cursor, y_cursor, row_height = 0.0, 0.0, 0.0
     for idx, (comp, X) in enumerate(placed):
@@ -284,7 +264,8 @@ def import_pajek(text: str):
             section = None
             continue
         if section == "vertices":
-            rest = line.split(None, 1)[1] if " " in line else ""
+            parts = line.split(None, 1)
+            rest = parts[1] if len(parts) > 1 else ""
             if rest.startswith('"'):
                 end = rest.index('"', 1)
                 label = rest[1:end]
@@ -314,33 +295,32 @@ def import_pajek(text: str):
 # SVG rendering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SvgStyle:
-    width: int = 800
-    height: int = 600
-    margin: float = 50.0
-    min_stroke: float = 0.5
-    max_stroke: float = 4.0
-    node_radius: float = 4.0
-    font_size: int = 12
+SVG_WIDTH = 800
+SVG_HEIGHT = 600
+SVG_MARGIN = 50.0
+MIN_STROKE = 0.5
+MAX_STROKE = 4.0
+NODE_RADIUS = 4.0
+FONT_SIZE = 12
 
 
-def export_svg(G: WeightedGraph, layout: LayoutResult, style: SvgStyle = SvgStyle()) -> str:
+def export_svg(G: WeightedGraph, layout: LayoutResult) -> str:
     """Render a laid-out graph as an SVG document.
 
-    Edge stroke widths interpolate linearly between ``min_stroke`` and
-    ``max_stroke`` over the weight range; equal weights all get the midpoint
-    width.
+    The positions are scaled into an ``SVG_WIDTH`` x ``SVG_HEIGHT`` canvas
+    inside a margin of ``SVG_MARGIN``.  Edge stroke widths interpolate
+    linearly between ``MIN_STROKE`` and ``MAX_STROKE`` over the weight
+    range; equal weights all get the midpoint width.
     """
     pos = np.asarray(layout.positions, dtype=float)
     lo = pos.min(axis=0)
     span = pos.max(axis=0) - lo
     span = np.where(span > 0, span, 1.0)
-    inner_w = style.width - 2 * style.margin
-    inner_h = style.height - 2 * style.margin
+    inner_w = SVG_WIDTH - 2 * SVG_MARGIN
+    inner_h = SVG_HEIGHT - 2 * SVG_MARGIN
     scaled = np.empty_like(pos)
-    scaled[:, 0] = style.margin + (pos[:, 0] - lo[0]) / span[0] * inner_w
-    scaled[:, 1] = style.margin + (pos[:, 1] - lo[1]) / span[1] * inner_h
+    scaled[:, 0] = SVG_MARGIN + (pos[:, 0] - lo[0]) / span[0] * inner_w
+    scaled[:, 1] = SVG_MARGIN + (pos[:, 1] - lo[1]) / span[1] * inner_h
 
     weights = [w for _, _, w in G.edges]
     if weights:
@@ -350,14 +330,14 @@ def export_svg(G: WeightedGraph, layout: LayoutResult, style: SvgStyle = SvgStyl
 
     def stroke(w: float) -> float:
         if w_max == w_min:
-            return (style.min_stroke + style.max_stroke) / 2.0
-        return style.min_stroke + (w - w_min) / (w_max - w_min) * (style.max_stroke - style.min_stroke)
+            return (MIN_STROKE + MAX_STROKE) / 2.0
+        return MIN_STROKE + (w - w_min) / (w_max - w_min) * (MAX_STROKE - MIN_STROKE)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{style.width}" height="{style.height}" '
-        f'viewBox="0 0 {style.width} {style.height}">',
+        f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
     ]
     for i, j, w in G.edges:
         parts.append(
@@ -368,12 +348,12 @@ def export_svg(G: WeightedGraph, layout: LayoutResult, style: SvgStyle = SvgStyl
     for idx, label in enumerate(G.node_labels):
         x, y = scaled[idx]
         parts.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{style.node_radius}" fill="#1f3c88"/>'
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{NODE_RADIUS}" fill="#1f3c88"/>'
         )
         safe = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
-            f'<text x="{x + style.node_radius + 2:.2f}" y="{y - 2:.2f}" '
-            f'font-size="{style.font_size}" font-family="sans-serif">{safe}</text>'
+            f'<text x="{x + NODE_RADIUS + 2:.2f}" y="{y - 2:.2f}" '
+            f'font-size="{FONT_SIZE}" font-family="sans-serif">{safe}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

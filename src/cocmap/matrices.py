@@ -25,7 +25,6 @@ FLOAT_EXACT_MAX = 2**53  # integers below this are exact in float64
 
 DIAGONAL_POLICIES = ("raw", "zeroed")
 PROXIMITY_KINDS = ("similarity", "dissimilarity")
-MEASUREMENT_LEVELS = ("ratio", "interval", "ordinal")
 
 SYMMETRY_TOL = 1e-12
 
@@ -123,23 +122,20 @@ class CooccurrenceMatrix:
 class ProximityMatrix:
     """Symmetric real matrix tagged as similarity or dissimilarity.
 
-    ``level`` records the measurement level (ratio, interval or ordinal) at
-    which the values should be interpreted by scaling routines.  NaN entries
-    mark missing proximities; they must appear symmetrically.  Infinite
-    entries are rejected.
+    NaN entries mark missing proximities; they must appear symmetrically.
+    Infinite entries are rejected.  A dissimilarity's diagonal is stored as
+    zero.  The measurement level is not a property of the matrix: scaling
+    declares it (:class:`cocmap.mds.MdsConfig`).
     """
 
     labels: tuple[str, ...]
     data: np.ndarray
     kind: str
-    level: str = "ratio"
 
     def __post_init__(self):
         object.__setattr__(self, "labels", _as_labels(self.labels, "object"))
         if self.kind not in PROXIMITY_KINDS:
             raise ValueError(f"unknown proximity kind {self.kind!r}")
-        if self.level not in MEASUREMENT_LEVELS:
-            raise ValueError(f"unknown measurement level {self.level!r}")
         data = np.array(self.data, dtype=float)
         n = len(self.labels)
         if data.shape != (n, n):

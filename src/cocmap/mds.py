@@ -46,25 +46,25 @@ from .errors import (
     DimensionTooLarge,
 )
 from .factor import eigen_symmetric
-from .matrices import MEASUREMENT_LEVELS, ProximityMatrix
+from .matrices import ProximityMatrix, _freeze
 from .proximity import to_dissimilarity
+
+MEASUREMENT_LEVELS = ("ratio", "interval", "ordinal")
 
 
 @dataclass(frozen=True)
 class MdsConfig:
     """Settings for one scaling run.
 
+    ``level`` is the measurement level of the proximities, one of
+    :data:`MEASUREMENT_LEVELS`; the matrix itself carries no level.
     ``init`` is ``"classical"`` (Torgerson start, deterministic) or
     ``"random"``, which requires an explicit ``seed``.  ``epsilon`` is the
-    stress-change convergence threshold.  ``kind_override`` forces the input
-    to be treated as the given kind regardless of its tag (useful for
-    demonstrating what happens when similarity and dissimilarity are
-    confused).
+    stress-change convergence threshold.
     """
 
     dimensions: int = 2
     level: str = "ratio"
-    kind_override: str | None = None
     init: str = "classical"
     seed: int | None = None
     max_iterations: int = 1000
@@ -75,8 +75,6 @@ class MdsConfig:
             raise ValueError("dimensions must be >= 1")
         if self.level not in MEASUREMENT_LEVELS:
             raise ValueError(f"unknown level {self.level!r}")
-        if self.kind_override not in (None, "similarity", "dissimilarity"):
-            raise ValueError(f"unknown kind override {self.kind_override!r}")
         if self.init not in ("classical", "random"):
             raise ValueError(f"unknown init {self.init!r}")
         if self.init == "random" and self.seed is None:
@@ -99,9 +97,7 @@ class Configuration:
     stress_history: tuple[float, ...] = ()
 
     def __post_init__(self):
-        coords = np.ascontiguousarray(np.asarray(self.coords, dtype=float))
-        coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", _freeze(np.asarray(self.coords, dtype=float)))
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         object.__setattr__(self, "stress_history", tuple(float(s) for s in self.stress_history))
 
@@ -236,13 +232,13 @@ def _pairwise_distances(X: np.ndarray) -> np.ndarray:
     return np.sqrt(d2, out=d2)
 
 
-def _fit_nonneg_affine(delta, dist, w):
-    """Weighted least-squares fit of dist ~ a + b*delta with a, b >= 0."""
-    sw = w.sum()
-    swx = (w * delta).sum()
-    swy = (w * dist).sum()
-    swxx = (w * delta * delta).sum()
-    swxy = (w * delta * dist).sum()
+def _fit_nonneg_affine(delta, dist):
+    """Least-squares fit of dist ~ a + b*delta with a, b >= 0."""
+    sw = float(len(delta))
+    swx = delta.sum()
+    swy = dist.sum()
+    swxx = (delta * delta).sum()
+    swxy = (delta * dist).sum()
     det = sw * swxx - swx * swx
     candidates = []
     if det > 0:
@@ -256,7 +252,7 @@ def _fit_nonneg_affine(delta, dist, w):
         candidates.append((max(swy / sw, 0.0), 0.0))
     best, best_err = (0.0, 0.0), np.inf
     for a, b in candidates:
-        err = float((w * (dist - a - b * delta) ** 2).sum())
+        err = float(((dist - a - b * delta) ** 2).sum())
         if err < best_err:
             best, best_err = (a, b), err
     return best
@@ -304,7 +300,7 @@ def transform_disparities(delta, dist, level: str, mask, *, fixed=None) -> np.nd
         b = float((dv * xv).sum()) / denom if denom > 0 else 0.0
         fitted = max(b, 0.0) * dv
     elif level == "interval":
-        a, b = _fit_nonneg_affine(dv, xv, np.ones_like(dv))
+        a, b = _fit_nonneg_affine(dv, xv)
         fitted = a + b * dv
     elif level == "ordinal":
         # untie: re-sort each tie block by current distance, then by index,
@@ -390,20 +386,13 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
     """Fit a k-dimensional configuration to a proximity matrix by SMACOF.
 
     Similarity inputs are converted internally (constant = matrix maximum)
-    before fitting; dissimilarities are fitted directly.  Returns a centered
+    before fitting; dissimilarities are fitted directly.  ``cfg.level`` is
+    the measurement level the fit assumes.  Returns a centered
     :class:`Configuration` whose ``stress_history`` records the normalized
     raw stress after every majorization step.  A point with no observed
     dissimilarity is named in a warning: nothing places it.
     """
-    kind = cfg.kind_override or P.kind
-    if kind == "similarity":
-        work = to_dissimilarity(
-            ProximityMatrix(P.labels, P.data, kind="similarity", level=P.level)
-        )
-    else:
-        data = np.array(P.data, dtype=float)
-        np.fill_diagonal(data, 0.0)
-        work = ProximityMatrix(P.labels, data, kind="dissimilarity", level=P.level)
+    work = to_dissimilarity(P) if P.kind == "similarity" else P
     delta = np.array(work.data, dtype=float)
     n = delta.shape[0]
     k = cfg.dimensions

@@ -34,7 +34,7 @@ def _column_pearson(X: np.ndarray, labels) -> np.ndarray:
     return r
 
 
-def pearson_columns(A: OccurrenceMatrix, level: str = "ratio") -> ProximityMatrix:
+def pearson_columns(A: OccurrenceMatrix) -> ProximityMatrix:
     """Column-pairwise Pearson correlation of an occurrence matrix.
 
     Returns a similarity matrix with values in [-1, 1] and a unit diagonal.
@@ -43,7 +43,7 @@ def pearson_columns(A: OccurrenceMatrix, level: str = "ratio") -> ProximityMatri
     """
     X = np.asarray(A.data, dtype=float)
     r = _column_pearson(X, A.cols)
-    return ProximityMatrix(A.cols, r, kind="similarity", level=level)
+    return ProximityMatrix(A.cols, r, kind="similarity")
 
 
 def shift_pearson(R: ProximityMatrix) -> ProximityMatrix:
@@ -55,10 +55,10 @@ def shift_pearson(R: ProximityMatrix) -> ProximityMatrix:
         raise OutOfRange("entries must lie in [-1, 1] before shifting")
     shifted = (np.clip(data, -1.0, 1.0) + 1.0) / 2.0
     np.fill_diagonal(shifted, 1.0)
-    return ProximityMatrix(R.labels, shifted, kind="similarity", level=R.level)
+    return ProximityMatrix(R.labels, shifted, kind="similarity")
 
 
-def cosine_columns(A: OccurrenceMatrix, level: str = "ratio") -> ProximityMatrix:
+def cosine_columns(A: OccurrenceMatrix) -> ProximityMatrix:
     """Cosine of the angle between attribute columns.
 
     Analogous to the Pearson measure but without centering on the column
@@ -73,10 +73,10 @@ def cosine_columns(A: OccurrenceMatrix, level: str = "ratio") -> ProximityMatrix
     c = np.clip(c, -1.0, 1.0)
     c = (c + c.T) / 2.0
     np.fill_diagonal(c, 1.0)
-    return ProximityMatrix(A.cols, c, kind="similarity", level=level)
+    return ProximityMatrix(A.cols, c, kind="similarity")
 
 
-def jaccard_columns(A: OccurrenceMatrix, level: str = "ratio") -> ProximityMatrix:
+def jaccard_columns(A: OccurrenceMatrix) -> ProximityMatrix:
     """Jaccard index over column supports (documents with a positive count).
 
     An empty intersection over an empty union is defined as 0.  Columns with
@@ -95,10 +95,10 @@ def jaccard_columns(A: OccurrenceMatrix, level: str = "ratio") -> ProximityMatri
             f"columns with empty support get a zero self-similarity: {names}",
             stacklevel=2,
         )
-    return ProximityMatrix(A.cols, j, kind="similarity", level=level)
+    return ProximityMatrix(A.cols, j, kind="similarity")
 
 
-def euclidean_columns(A: OccurrenceMatrix, level: str = "ratio") -> ProximityMatrix:
+def euclidean_columns(A: OccurrenceMatrix) -> ProximityMatrix:
     """Euclidean distance between attribute columns (a dissimilarity)."""
     X = np.asarray(A.data, dtype=float)
     sq = (X**2).sum(axis=0)
@@ -106,7 +106,7 @@ def euclidean_columns(A: OccurrenceMatrix, level: str = "ratio") -> ProximityMat
     d = np.sqrt(np.maximum(d2, 0.0))
     d = (d + d.T) / 2.0
     np.fill_diagonal(d, 0.0)
-    return ProximityMatrix(A.cols, d, kind="dissimilarity", level=level)
+    return ProximityMatrix(A.cols, d, kind="dissimilarity")
 
 
 def to_dissimilarity(S: ProximityMatrix, constant: float | str = "auto") -> ProximityMatrix:
@@ -135,10 +135,10 @@ def to_dissimilarity(S: ProximityMatrix, constant: float | str = "auto") -> Prox
         )
     d = np.where(np.isnan(d), np.nan, np.maximum(d, 0.0))
     np.fill_diagonal(d, 0.0)
-    return ProximityMatrix(S.labels, d, kind="dissimilarity", level=S.level)
+    return ProximityMatrix(S.labels, d, kind="dissimilarity")
 
 
-def pearson_of_proximities(P: ProximityMatrix, level: str = "ratio") -> ProximityMatrix:
+def pearson_of_proximities(P: ProximityMatrix) -> ProximityMatrix:
     """Column-pairwise Pearson correlation of an already-square proximity matrix.
 
     Correlating the rows of a proximity matrix (diagonal included as data)
@@ -148,4 +148,4 @@ def pearson_of_proximities(P: ProximityMatrix, level: str = "ratio") -> Proximit
     """
     X = np.asarray(P.data, dtype=float)
     r = _column_pearson(X, P.labels)
-    return ProximityMatrix(P.labels, r, kind="similarity", level=level)
+    return ProximityMatrix(P.labels, r, kind="similarity")

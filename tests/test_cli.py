@@ -109,6 +109,20 @@ class TestBuildAndProx:
         err = capsys.readouterr().err
         assert "proximity.ZeroVarianceColumn" in err
 
+    def test_prox_has_no_level_flag(self, tmp_path, records_file, capsys):
+        # the measurement level belongs to scaling: mds and pipeline take it
+        out = tmp_path / "out"
+        code = run(["prox", "--in", str(records_file), "--level", "ordinal",
+                    "--out", str(out)])
+        assert code == 2
+        assert "--level" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_prox_report_config(self, tmp_path, records_file):
+        out = tmp_path / "out"
+        assert run(["prox", "--in", str(records_file), "--out", str(out)]) == 0
+        assert read_report(out, "prox")["config"] == {"measure": "pearson", "shift": False}
+
 
 class TestMdsCommand:
     def test_builtin_cities(self, tmp_path):
@@ -147,6 +161,15 @@ class TestMdsCommand:
         assert code == 1
         assert "infinite" in capsys.readouterr().err
         assert not (tmp_path / "o" / "configuration.csv").exists()
+
+    def test_oversized_csv_field_is_a_data_error(self, tmp_path, capsys):
+        # one field beyond the csv module's 131072-character limit
+        path = tmp_path / "m.csv"
+        path.write_text(f",a,b\na,0,1\nb,1,{'9' * 200_000}\n", encoding="utf-8")
+        code = run(["mds", "--in", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "ingest.MalformedLine" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_label_with_quote_and_comma_reads_back(self, tmp_path):
         labels = ["plain", 'Smith, "J."', "x,y"]

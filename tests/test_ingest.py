@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cocmap import (
     AsymmetricInput,
@@ -258,15 +260,21 @@ class TestBuiltinDatasets:
         np.testing.assert_array_equal(np.asarray(parsed.data), D)
 
 
+# line boundaries that str.splitlines() splits on besides \n and \r
+LINE_BOUNDARIES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 class TestRecordsRefuseUnreadableNames:
-    @pytest.mark.parametrize("label", ["a:b", "a;b", "a\tb", "a\nb", "a\rb", " a", "a ", ""])
+    @pytest.mark.parametrize("label", ["a:b", "a;b", "a\tb", "a\nb", "a\rb", " a", "a ", ""]
+                             + [f"a{c}b" for c in LINE_BOUNDARIES])
     def test_attribute_label_refused(self, label):
         A = OccurrenceMatrix(("d1",), (label, "z"), [[1, 1]])
         with pytest.raises(ValueError, match="attribute label") as info:
             serialize_records(A)
         assert repr(label) in str(info.value)
 
-    @pytest.mark.parametrize("doc_id", ["#1", "d:1", "d;1", "d\t1", "d\n1", " d1", ""])
+    @pytest.mark.parametrize("doc_id", ["#1", "d:1", "d;1", "d\t1", "d\n1", " d1", ""]
+                             + [f"d{c}1" for c in LINE_BOUNDARIES])
     def test_document_id_refused(self, doc_id):
         A = OccurrenceMatrix((doc_id,), ("a", "b"), [[1, 0]])
         with pytest.raises(ValueError, match="document id") as info:
@@ -332,3 +340,82 @@ class TestSquareSerializerBytes:
         P = ProximityMatrix(("a", "b,c", "d"), d, kind="dissimilarity")
         assert serialize_square_matrix(P) == per_cell_square_csv(P)
         assert serialize_square_matrix(P) == ',a,"b,c",d\na,0,1.5,\n"b,c",1.5,0,2\nd,,2,0\n'
+
+
+CSV_UNREADABLE = [" a", "a ", "\ta", "\u2028", "a\rb"]
+
+
+class TestCsvRefuseUnreadableLabels:
+    @pytest.mark.parametrize("label", CSV_UNREADABLE)
+    def test_square_label_refused(self, label):
+        P = ProximityMatrix((label, "z"), [[0.0, 1.0], [1.0, 0.0]], kind="dissimilarity")
+        with pytest.raises(ValueError, match="CSV") as info:
+            serialize_square_matrix(P)
+        assert repr(label) in str(info.value)
+
+    @pytest.mark.parametrize("label", CSV_UNREADABLE)
+    def test_rectangular_row_and_column_labels_refused(self, label):
+        for A in (OccurrenceMatrix((label,), ("a", "b"), [[1, 0]]),
+                  OccurrenceMatrix(("d",), (label, "b"), [[1, 0]])):
+            with pytest.raises(ValueError, match="CSV") as info:
+                serialize_rectangular_matrix(A)
+            assert repr(label) in str(info.value)
+
+
+# Round-trip properties over arbitrary text labels: a serializer either
+# refuses a label with ValueError or its parser reads back the same labels
+# and data.
+
+def unique_labels(min_size):
+    return st.lists(st.text(max_size=6), min_size=min_size, max_size=4, unique=True)
+
+
+def written_or_refused(serialize, M):
+    try:
+        return serialize(M)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=unique_labels(1), cols=unique_labels(2))
+@example(rows=["d"], cols=[f"a{c}b" for c in LINE_BOUNDARIES])
+@example(rows=[f"d{c}1" for c in LINE_BOUNDARIES], cols=["a", "b"])
+def test_records_round_trip_or_refuse(rows, cols):
+    cols = sorted(cols)  # the parser orders columns by label
+    data = np.arange(len(rows) * len(cols)).reshape(len(rows), len(cols)) % 3
+    A = OccurrenceMatrix(rows, cols, data)
+    text = written_or_refused(serialize_records, A)
+    if text is not None:
+        B = parse_records(text)
+        assert (B.rows, B.cols) == (A.rows, A.cols)
+        assert np.array_equal(np.asarray(B.data), np.asarray(A.data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=unique_labels(2))
+@example(labels=CSV_UNREADABLE)
+@example(labels=["a\rb", "c"])
+@example(labels=["\u2028", "c"])
+def test_square_csv_round_trip_or_refuse(labels):
+    idx = np.arange(len(labels), dtype=float)
+    P = ProximityMatrix(labels, np.abs(idx[:, None] - idx) / 4, kind="dissimilarity")
+    text = written_or_refused(serialize_square_matrix, P)
+    if text is not None:
+        Q = parse_square_matrix(text, "dissimilarity")
+        assert Q.labels == P.labels
+        assert np.array_equal(np.asarray(Q.data), np.asarray(P.data))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=unique_labels(1), cols=unique_labels(2))
+@example(rows=[" a"], cols=["a ", "\ta"])
+@example(rows=["d"], cols=["\u2028", "a\rb"])
+def test_rectangular_csv_round_trip_or_refuse(rows, cols):
+    data = np.arange(len(rows) * len(cols)).reshape(len(rows), len(cols)) % 4
+    A = OccurrenceMatrix(rows, cols, data)
+    text = written_or_refused(serialize_rectangular_matrix, A)
+    if text is not None:
+        B = parse_rectangular_matrix(text)
+        assert (B.rows, B.cols) == (A.rows, A.cols)
+        assert np.array_equal(np.asarray(B.data), np.asarray(A.data))

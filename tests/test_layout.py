@@ -5,12 +5,11 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocmap import (
     CooccurrenceMatrix,
-    DisconnectedGraph,
-    LayoutConfig,
-    SvgStyle,
     WeightedGraph,
     builtin_dataset,
     cooccurrence,
@@ -218,11 +217,6 @@ class TestKamadaKawai:
         lengths = edge_lengths(result, complete_graph(3))
         assert lengths.std() / lengths.mean() < 0.01
 
-    def test_disconnected_rejected_when_packing_off(self):
-        G = WeightedGraph(("a", "b", "c", "d"), ((0, 1, 1.0), (2, 3, 1.0)))
-        with pytest.raises(DisconnectedGraph):
-            kamada_kawai(G, LayoutConfig(pack_components=False))
-
     def test_components_are_packed_apart(self):
         G = WeightedGraph(("a", "b", "c", "d", "e"), ((0, 1, 1.0), (2, 3, 1.0)))
         result = kamada_kawai(G)
@@ -315,12 +309,18 @@ class TestPajekFormat:
         H, _ = import_pajek(export_pajek(G))
         assert H.node_labels == ("New York", "Washington DC")
 
+    def test_tab_separated_vertex_lines(self):
+        G, coords = import_pajek('*Vertices 2\n1\t"A"\t0.5\t1\n2\t"B"\t0\t0\n'
+                                 '*Edges\n1\t2\t3\n')
+        assert G == WeightedGraph(("A", "B"), ((0, 1, 3.0),))
+        assert coords.tolist() == [[0.5, 1.0], [0.0, 0.0]]
+
 
 class TestSvgExport:
     def test_stroke_width_endpoints(self):
         G = WeightedGraph(("a", "b", "c"), ((0, 1, 10.0), (1, 2, 30.0)))
         result = kamada_kawai(G)
-        svg = export_svg(G, result, SvgStyle(min_stroke=0.5, max_stroke=4.0))
+        svg = export_svg(G, result)
         assert 'stroke-width="0.500"' in svg
         assert 'stroke-width="4.000"' in svg
 
@@ -329,7 +329,7 @@ class TestSvgExport:
             ("a", "b", "c", "d"), ((0, 1, 10.0), (1, 2, 30.0), (2, 3, 20.0))
         )
         result = kamada_kawai(G)
-        svg = export_svg(G, result, SvgStyle(min_stroke=0.5, max_stroke=4.0))
+        svg = export_svg(G, result)
         assert 'stroke-width="2.250"' in svg
 
     def test_equal_weights_uniform_width(self):
@@ -402,3 +402,18 @@ class TestPajekLineBreaks:
         H, _ = import_pajek(export_pajek(G))
         assert H.node_labels == G.node_labels
         assert H.edges == G.edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(max_size=6), min_size=2, max_size=5, unique=True))
+def test_pajek_round_trip_or_refuse(labels):
+    # export_pajek either refuses a label or import_pajek reads it back
+    G = WeightedGraph(labels, tuple((i, i + 1, float(i + 1)) for i in range(len(labels) - 1)))
+    layout = kamada_kawai(G)
+    try:
+        text = export_pajek(G, layout)
+    except ValueError:
+        return
+    H, coords = import_pajek(text)
+    assert H == G
+    assert coords.shape == (len(labels), 2)

@@ -375,7 +375,8 @@ class TestMdsBasics:
         # reading the mileage matrix as similarities must wreck the map
         cities = builtin_dataset("cities")
         correct = mds(cities, MdsConfig(dimensions=2))
-        reversed_fit = mds(cities, MdsConfig(dimensions=2, kind_override="similarity"))
+        as_similarity = ProximityMatrix(cities.labels, cities.data, kind="similarity")
+        reversed_fit = mds(as_similarity, MdsConfig(dimensions=2))
         assert reversed_fit.stress > 20.0 * correct.stress
         _, congruence = procrustes_align(correct.coords, reversed_fit.coords)
         assert congruence < 0.9
