@@ -16,9 +16,8 @@ error name), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
+import dataclasses
 import hashlib
-import io
 import json
 import sys
 from datetime import datetime, timezone
@@ -62,12 +61,9 @@ def _write_report(out_dir: Path, name: str, report: dict) -> str:
 
 
 def _coords_csv(labels, coords) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["label"] + [f"dim{i + 1}" for i in range(coords.shape[1])])
-    for label, row in zip(labels, np.asarray(coords, dtype=float)):
-        writer.writerow([label] + list(map(repr, row.tolist())))
-    return out.getvalue()
+    coords = np.asarray(coords, dtype=float)
+    return ingest._labelled_csv(["label"] + [f"dim{i + 1}" for i in range(coords.shape[1])],
+                                labels, coords.tolist())
 
 
 def _load_occurrence(args) -> tuple[OccurrenceMatrix, str]:
@@ -289,11 +285,8 @@ def _cmd_prox(args) -> int:
 
 
 def _cmd_mds(args) -> int:
-    result, _ = _run(args, "mds", [("mds", STAGES["mds"])], lambda P: {
-        "dimensions": args.dims, "level": args.level, "init": args.init,
-        "seed": args.seed, "max_iterations": args.max_iter,
-        "epsilon": args.epsilon, "kind": P.kind,
-    })
+    result, _ = _run(args, "mds", [("mds", STAGES["mds"])],
+                     lambda P: {**dataclasses.asdict(_mds_config(args)), "kind": P.kind})
     print(f"normalized raw stress: {result.stress:.6f} "
           f"({result.iterations_used} iterations)")
     return 0
@@ -331,43 +324,31 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_demo(args) -> int:
     out_dir = Path(args.out)
-    if args.name == "cities-correct":
+    if args.name != "figure3":
+        # cities-correct scales the mileages; cities-distorted scales the
+        # Pearson correlations of their columns and compares the two maps
         cities = ingest.builtin_dataset("cities")
-        result = mds(cities, MdsConfig(dimensions=2, level="ratio"))
-        coords_path = _write(out_dir / "cities_map.csv",
-                             _coords_csv(result.labels, result.coords))
-        svg = _map_svg(result.labels, result.coords)
-        svg_path = _write(out_dir / "cities_map.svg", svg)
-        _write_report(out_dir, "demo_cities_correct", {
-            "command": "demo cities-correct",
-            "config": {"level": "ratio", "dimensions": 2},
+        cfg = MdsConfig(dimensions=2, level="ratio")
+        direct = mds(cities, cfg)
+        distorted = args.name == "cities-distorted"
+        result = mds(proximity.pearson_of_proximities(cities), cfg) if distorted else direct
+        stem = "cities_distorted" if distorted else "cities_map"
+        paths = [_write(out_dir / f"{stem}.csv", _coords_csv(result.labels, result.coords)),
+                 _write(out_dir / f"{stem}.svg", _map_svg(result.labels, result.coords))]
+        results = {"stress": result.stress, "iterations": result.iterations_used}
+        if distorted:
+            _, congruence = procrustes_align(direct.coords, result.coords)
+            results.update(direct_stress=direct.stress, congruence_with_direct_map=congruence)
+        _write_report(out_dir, "demo_" + args.name.replace("-", "_"), {
+            "command": f"demo {args.name}",
+            "config": {"level": cfg.level, "dimensions": cfg.dimensions},
             "inputs": {"builtin": "cities"},
-            "results": {"stress": result.stress,
-                        "iterations": result.iterations_used},
-            "outputs": [coords_path, svg_path],
+            "results": results,
+            "outputs": paths,
         })
-        print(f"ten-city map recovered; normalized raw stress = {result.stress:.6f}")
-        return 0
-    if args.name == "cities-distorted":
-        cities = ingest.builtin_dataset("cities")
-        correlated = proximity.pearson_of_proximities(cities)
-        result = mds(correlated, MdsConfig(dimensions=2, level="ratio"))
-        direct = mds(cities, MdsConfig(dimensions=2, level="ratio"))
-        _, congruence = procrustes_align(direct.coords, result.coords)
-        coords_path = _write(out_dir / "cities_distorted.csv",
-                             _coords_csv(result.labels, result.coords))
-        svg_path = _write(out_dir / "cities_distorted.svg",
-                          _map_svg(result.labels, result.coords))
-        _write_report(out_dir, "demo_cities_distorted", {
-            "command": "demo cities-distorted",
-            "config": {"level": "ratio", "dimensions": 2},
-            "inputs": {"builtin": "cities"},
-            "results": {"stress": result.stress,
-                        "direct_stress": direct.stress,
-                        "congruence_with_direct_map": congruence,
-                        "iterations": result.iterations_used},
-            "outputs": [coords_path, svg_path],
-        })
+        if not distorted:
+            print(f"ten-city map recovered; normalized raw stress = {result.stress:.6f}")
+            return 0
         print("warning: correlating the columns of a matrix that is already a "
               "proximity matrix re-normalizes them against their means and "
               "distorts the map.")
@@ -411,9 +392,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_input(p, *, occurrence=False):
-        p.add_argument("--in", dest="input", help="input file")
-        p.add_argument("--builtin", choices=("cities", "figure1", "figure2"),
-                       help="use a bundled dataset instead of a file")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--in", dest="input", help="input file")
+        source.add_argument("--builtin", choices=("cities", "figure1", "figure2"),
+                            help="use a bundled dataset instead of a file")
         if occurrence:
             p.add_argument("--format", choices=("records", "matrix"),
                            default="records",
@@ -424,12 +406,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # each stage group's flags are declared once, for its subcommand and pipeline
     def add_mds_flags(p):
-        p.add_argument("--level", choices=MEASUREMENT_LEVELS, default="ratio")
-        p.add_argument("--dims", type=int, default=2)
-        p.add_argument("--init", choices=("classical", "random"), default="classical")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-iter", type=int, default=1000)
-        p.add_argument("--epsilon", type=float, default=1e-6)
+        p.add_argument("--level", choices=MEASUREMENT_LEVELS, default=MdsConfig.level)
+        p.add_argument("--dims", type=int, default=MdsConfig.dimensions)
+        p.add_argument("--init", choices=("classical", "random"), default=MdsConfig.init)
+        p.add_argument("--seed", type=int, default=MdsConfig.seed)
+        p.add_argument("--max-iter", type=int, default=MdsConfig.max_iterations)
+        p.add_argument("--epsilon", type=float, default=MdsConfig.epsilon)
 
     def add_diag(p):
         p.add_argument("--diag", dest="diag_policy", choices=("raw", "zero"),

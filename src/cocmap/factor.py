@@ -17,13 +17,12 @@ module.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoConvergence
+from .ingest import _labelled_csv
 from .matrices import OccurrenceMatrix, ProximityMatrix, _freeze
 from .proximity import pearson_columns
 
@@ -77,7 +76,7 @@ class LoadingsMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "variable_labels", tuple(str(x) for x in self.variable_labels))
-        L = np.array(self.loadings, dtype=float)
+        L = np.asarray(self.loadings, dtype=float)
         if L.ndim != 2 or L.shape[0] != len(self.variable_labels):
             raise ValueError("loadings shape does not match variable labels")
         ev = tuple(float(v) for v in self.eigenvalues)
@@ -241,12 +240,8 @@ def factor_scatter_coords(L: LoadingsMatrix, dims: int = 2) -> np.ndarray:
 
 def loadings_to_csv(L: LoadingsMatrix) -> str:
     """Full-precision loadings as labeled CSV."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + [f"factor{j + 1}" for j in range(L.n_factors)])
-    for label, row in zip(L.variable_labels, np.asarray(L.loadings)):
-        writer.writerow([label] + list(map(repr, row.tolist())))
-    return out.getvalue()
+    return _labelled_csv([""] + [f"factor{j + 1}" for j in range(L.n_factors)],
+                         L.variable_labels, L.loadings.tolist())
 
 
 def format_loadings(L: LoadingsMatrix, threshold: float = 0.10) -> str:

@@ -270,27 +270,40 @@ def parse_square_matrix(text: str, kind: str):
     return ProximityMatrix(tuple(header), sym, kind=kind)
 
 
-def serialize_square_matrix(M) -> str:
-    """Serialize a square matrix (proximity or co-occurrence) to labeled CSV.
+def _number_cells(data) -> list:
+    """Cell text for a float array, as nested lists of the same shape.
 
     Whole numbers below 1e15 in magnitude print as integers (``-0.0`` as
     ``0``), other values by ``repr`` of the float, and NaN as an empty cell.
-    A label the parser would not read back unchanged (leading or trailing
-    whitespace, or a ``\\r``) raises ``ValueError`` naming it.
     """
-    _check_csv_labels(M.labels)
-    data = np.asarray(M.data, dtype=float)
+    data = np.asarray(data, dtype=float)
     nan = np.isnan(data)
     whole = (data == np.trunc(data)) & (np.abs(data) < 1e15)
     rest = ~(whole | nan)
     cells = np.full(data.shape, "", dtype=object)
     cells[whole] = list(map(str, data[whole].astype(np.int64).tolist()))
     cells[rest] = list(map(repr, data[rest].tolist()))
+    return cells.tolist()
+
+
+def _labelled_csv(header, labels, rows) -> str:
+    """CSV text: the header row, then each label and its row (floats by ``repr``)."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + list(M.labels))
-    writer.writerows([label] + row for label, row in zip(M.labels, cells.tolist()))
+    writer.writerow(header)
+    writer.writerows([label] + row for label, row in zip(labels, rows))
     return out.getvalue()
+
+
+def serialize_square_matrix(M) -> str:
+    """Serialize a square matrix (proximity or co-occurrence) to labeled CSV.
+
+    Cells are written as :func:`_number_cells` gives them.  A label the
+    parser would not read back unchanged (leading or trailing whitespace, or
+    a ``\\r``) raises ``ValueError`` naming it.
+    """
+    _check_csv_labels(M.labels)
+    return _labelled_csv([""] + list(M.labels), M.labels, _number_cells(M.data))
 
 
 def parse_rectangular_matrix(text: str) -> OccurrenceMatrix:
@@ -321,9 +334,4 @@ def serialize_rectangular_matrix(A: OccurrenceMatrix) -> str:
     Labels are refused as by :func:`serialize_square_matrix`.
     """
     _check_csv_labels(A.rows + A.cols)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([""] + list(A.cols))
-    for label, row in zip(A.rows, np.asarray(A.data)):
-        writer.writerow([label] + [str(int(v)) for v in row])
-    return out.getvalue()
+    return _labelled_csv([""] + list(A.cols), A.rows, np.asarray(A.data).tolist())

@@ -24,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ingest import _number_cells
 from .matrices import CooccurrenceMatrix, _as_labels, _freeze
 from .mds import MdsConfig, _smacof
 
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Undirected graph with positive edge weights; edges stored as (i, j, w), i < j."""
+    """Undirected graph with positive finite edge weights; edges stored as (i, j, w), i < j."""
 
     node_labels: tuple[str, ...]
     edges: tuple[tuple[int, int, float], ...]
@@ -50,8 +51,8 @@ class WeightedGraph:
                 i, j = j, i
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i}, {j})")
-            if w <= 0:
-                raise ValueError("edge weights must be positive")
+            if not 0 < w < np.inf:  # NaN fails too
+                raise ValueError("edge weights must be positive and finite")
             seen.add((i, j))
             norm.append((i, j, w))
         object.__setattr__(self, "node_labels", labels)
@@ -196,15 +197,17 @@ def kamada_kawai(G: WeightedGraph) -> LayoutResult:
                         all_converged)
 
 
+def _unit_box(layout: LayoutResult) -> np.ndarray:
+    """Positions mapped per axis onto [0, 1]; a flat axis maps to 0."""
+    pos = np.asarray(layout.positions, dtype=float)
+    lo = pos.min(axis=0)
+    span = pos.max(axis=0) - lo
+    return (pos - lo) / np.where(span > 0, span, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Pajek .net format
 # ---------------------------------------------------------------------------
-
-def _format_weight(w: float) -> str:
-    if w == int(w) and abs(w) < 1e15:
-        return str(int(w))
-    return repr(float(w))
-
 
 def export_pajek(G: WeightedGraph, layout: LayoutResult | None = None) -> str:
     """Serialize a graph (optionally with coordinates) to Pajek .net text.
@@ -221,12 +224,7 @@ def export_pajek(G: WeightedGraph, layout: LayoutResult | None = None) -> str:
         if "".join(label.splitlines()) != label:
             raise ValueError(f"Pajek labels cannot contain a line break: {label!r}")
     lines = [f"*Vertices {G.n}"]
-    coords = None
-    if layout is not None:
-        pos = np.asarray(layout.positions, dtype=float)
-        span = pos.max(axis=0) - pos.min(axis=0)
-        span = np.where(span > 0, span, 1.0)
-        coords = (pos - pos.min(axis=0)) / span
+    coords = None if layout is None else _unit_box(layout)
     for idx, label in enumerate(G.node_labels):
         quoted = f'"{label}"'
         if coords is None:
@@ -234,8 +232,9 @@ def export_pajek(G: WeightedGraph, layout: LayoutResult | None = None) -> str:
         else:
             lines.append(f"{idx + 1} {quoted} {coords[idx, 0]:.6f} {coords[idx, 1]:.6f}")
     lines.append("*Edges")
-    for i, j, w in G.edges:
-        lines.append(f"{i + 1} {j + 1} {_format_weight(w)}")
+    weights = _number_cells([w for _, _, w in G.edges])
+    for (i, j, _), w in zip(G.edges, weights):
+        lines.append(f"{i + 1} {j + 1} {w}")
     return "\n".join(lines) + "\n"
 
 
@@ -312,15 +311,8 @@ def export_svg(G: WeightedGraph, layout: LayoutResult) -> str:
     linearly between ``MIN_STROKE`` and ``MAX_STROKE`` over the weight
     range; equal weights all get the midpoint width.
     """
-    pos = np.asarray(layout.positions, dtype=float)
-    lo = pos.min(axis=0)
-    span = pos.max(axis=0) - lo
-    span = np.where(span > 0, span, 1.0)
-    inner_w = SVG_WIDTH - 2 * SVG_MARGIN
-    inner_h = SVG_HEIGHT - 2 * SVG_MARGIN
-    scaled = np.empty_like(pos)
-    scaled[:, 0] = SVG_MARGIN + (pos[:, 0] - lo[0]) / span[0] * inner_w
-    scaled[:, 1] = SVG_MARGIN + (pos[:, 1] - lo[1]) / span[1] * inner_h
+    inner = np.array([SVG_WIDTH, SVG_HEIGHT]) - 2 * SVG_MARGIN
+    scaled = SVG_MARGIN + _unit_box(layout) * inner
 
     weights = [w for _, _, w in G.edges]
     if weights:

@@ -53,8 +53,9 @@ def _as_count_array(data) -> np.ndarray:
     return a
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _freeze(a) -> np.ndarray:
+    """A read-only C-contiguous copy of ``a``; the caller's array stays writeable."""
+    a = np.array(a, order="C")
     a.flags.writeable = False
     return a
 
@@ -136,7 +137,7 @@ class ProximityMatrix:
         object.__setattr__(self, "labels", _as_labels(self.labels, "object"))
         if self.kind not in PROXIMITY_KINDS:
             raise ValueError(f"unknown proximity kind {self.kind!r}")
-        data = np.array(self.data, dtype=float)
+        data = np.asarray(self.data, dtype=float)
         n = len(self.labels)
         if data.shape != (n, n):
             raise ValueError(f"data shape {data.shape} does not match {n} labels")
@@ -155,7 +156,7 @@ class ProximityMatrix:
             diag = np.diagonal(data)
             if np.any(np.abs(diag[~np.isnan(diag)]) > SYMMETRY_TOL):
                 raise ValueError("dissimilarity diagonal must be zero")
-            np.fill_diagonal(data, 0.0)
+            data = np.where(np.eye(n, dtype=bool), 0.0, data)
         object.__setattr__(self, "data", _freeze(data))
 
     @property

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .factor import eigen_symmetric
 from .matrices import ProximityMatrix, _freeze
-from .proximity import to_dissimilarity
+from .proximity import _pairwise_distances, to_dissimilarity
 
 MEASUREMENT_LEVELS = ("ratio", "interval", "ordinal")
 
@@ -223,15 +223,6 @@ def procrustes_align(X, Y):
     return aligned, float(min(max(congruence, 0.0), 1.0))
 
 
-def _pairwise_distances(X: np.ndarray) -> np.ndarray:
-    sq = (X**2).sum(axis=1)
-    # (sq_i + sq_j) - 2 G_ij, in place; that order keeps the result symmetric
-    d2 = sq[:, None] + sq
-    d2 -= 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2, out=d2)
-
-
 def _fit_nonneg_affine(delta, dist):
     """Least-squares fit of dist ~ a + b*delta with a, b >= 0."""
     sw = float(len(delta))
@@ -329,21 +320,17 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
     ``W`` is a symmetric non-negative weight matrix with a zero diagonal,
     ``targets`` the symmetric target distances and ``X`` the start.  Each
     iteration is one Guttman transform ``X = V+ B(X) X`` (``V`` the weighted
-    Laplacian; with all-ones weights ``V+`` acts as ``1/n`` on centered
-    configurations), after which ``update(dist)``, when given, returns the
-    targets for the new distances.  Returns ``(X, history, iterations,
-    converged)``: ``history`` holds the normalized raw stress
-    ``sum_w (targets - d)^2 / sum_w targets^2`` at the start and after every
-    iteration, and the run has converged once an iteration lowers it by
-    less than ``epsilon``.
+    Laplacian, ``V+`` its pseudo-inverse), whatever the weights, after which
+    ``update(dist)``, when given, returns the targets for the new distances.
+    Returns ``(X, history, iterations, converged)``: ``history`` holds the
+    normalized raw stress ``sum_w (targets - d)^2 / sum_w targets^2`` at the
+    start and after every iteration, and the run has converged once an
+    iteration lowers it by less than ``epsilon``.
     """
-    n = len(X)
-    Vplus = None
-    if not np.array_equal(W, 1.0 - np.eye(n)):
-        V = np.diag(W.sum(axis=1)) - W
-        values, vectors = eigen_symmetric(V)
-        inv = np.where(values > 1e-12 * max(values.max(), 1.0), 1.0 / np.where(values > 0, values, 1.0), 0.0)
-        Vplus = (vectors * inv) @ vectors.T
+    V = np.diag(W.sum(axis=1)) - W
+    values, vectors = eigen_symmetric(V)
+    inv = np.where(values > 1e-12 * max(values.max(), 1.0), 1.0 / np.where(values > 0, values, 1.0), 0.0)
+    Vplus = (vectors * inv) @ vectors.T
     w = W.ravel()
 
     def weigh(T):
@@ -369,7 +356,7 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
             ratio = WT / dist
         ratio[dist == 0] = 0.0
         BX = ratio.sum(axis=1)[:, None] * X - ratio @ X
-        X = BX / n if Vplus is None else Vplus @ BX
+        X = Vplus @ BX
         X -= X.mean(axis=0)
         dist = _pairwise_distances(X)
         if update is not None:

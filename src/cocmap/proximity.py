@@ -98,13 +98,19 @@ def jaccard_columns(A: OccurrenceMatrix) -> ProximityMatrix:
     return ProximityMatrix(A.cols, j, kind="similarity")
 
 
+def _pairwise_distances(X: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``X``, bitwise symmetric."""
+    sq = (X**2).sum(axis=1)
+    # (sq_i + sq_j) - 2 G_ij, in place; that order keeps the result symmetric
+    d2 = sq[:, None] + sq
+    d2 -= 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    return np.sqrt(d2, out=d2)
+
+
 def euclidean_columns(A: OccurrenceMatrix) -> ProximityMatrix:
     """Euclidean distance between attribute columns (a dissimilarity)."""
-    X = np.asarray(A.data, dtype=float)
-    sq = (X**2).sum(axis=0)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
-    d = np.sqrt(np.maximum(d2, 0.0))
-    d = (d + d.T) / 2.0
+    d = _pairwise_distances(np.asarray(A.data, dtype=float).T)
     np.fill_diagonal(d, 0.0)
     return ProximityMatrix(A.cols, d, kind="dissimilarity")
 

@@ -391,3 +391,65 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
                          capture_output=True, text=True, timeout=120)
     assert bad.returncode == 2
     assert "provide --in FILE or --builtin NAME" in bad.stderr
+
+
+INPUT_COMMANDS = {
+    "build": [],
+    "prox": [],
+    "mds": [],
+    "factor": [],
+    "layout": [],
+    "pipeline": ["--steps", "pearson"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_COMMANDS))
+@pytest.mark.parametrize("source", [["--in", "junk.txt", "--builtin", "cities"],
+                                    ["--builtin", "figure2", "--in", "/nonexistent"]],
+                         ids=["in-first", "builtin-first"])
+def test_in_and_builtin_together_are_a_usage_error(tmp_path, capsys, command, source):
+    out = tmp_path / "out"
+    code = run([command, *source, *INPUT_COMMANDS[command], "--out", str(out)])
+    assert code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_COMMANDS))
+def test_no_input_flag_is_a_usage_error(tmp_path, capsys, command):
+    code = run([command, *INPUT_COMMANDS[command], "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "provide --in FILE or --builtin NAME" in capsys.readouterr().err
+
+
+def test_mds_flag_defaults_are_the_config_defaults(tmp_path):
+    from dataclasses import asdict
+
+    from cocmap import MdsConfig
+
+    out = tmp_path / "out"
+    assert run(["mds", "--builtin", "cities", "--out", str(out)]) == 0
+    assert read_report(out, "mds")["config"] == {**asdict(MdsConfig()), "kind": "dissimilarity"}
+
+
+@pytest.mark.parametrize("name, stem, extra", [
+    ("cities-correct", "cities_map", set()),
+    ("cities-distorted", "cities_distorted", {"direct_stress", "congruence_with_direct_map"}),
+])
+def test_cities_demo_files_and_report(tmp_path, name, stem, extra):
+    out = tmp_path / name
+    assert run(["demo", name, "--out", str(out)]) == 0
+    report_name = "demo_" + name.replace("-", "_")
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{stem}.csv", f"{stem}.svg", f"{report_name}_report.json"])
+    report = read_report(out, report_name)
+    assert report["command"] == f"demo {name}"
+    assert report["config"] == {"level": "ratio", "dimensions": 2}
+    assert report["inputs"] == {"builtin": "cities"}
+    assert report["outputs"] == [str(out / f"{stem}.csv"), str(out / f"{stem}.svg")]
+    assert set(report["results"]) == {"stress", "iterations"} | extra
+    if extra:
+        direct = tmp_path / "direct"
+        assert run(["demo", "cities-correct", "--out", str(direct)]) == 0
+        correct = read_report(direct, "demo_cities_correct")["results"]["stress"]
+        assert report["results"]["direct_stress"] == correct

@@ -419,3 +419,24 @@ def test_rectangular_csv_round_trip_or_refuse(rows, cols):
         B = parse_rectangular_matrix(text)
         assert (B.rows, B.cols) == (A.rows, A.cols)
         assert np.array_equal(np.asarray(B.data), np.asarray(A.data))
+
+
+def per_cell_rectangular_csv(A):
+    """Reference: the rectangular serializer's former writer, one ``str(int(v))`` per cell."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([""] + list(A.cols))
+    for label, row in zip(A.rows, np.asarray(A.data)):
+        writer.writerow([label] + [str(int(v)) for v in row])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("data", [
+    np.array([[0, 1, 2], [3, 0, 2**62]], dtype=np.int64),
+    np.array([[0, 2**70], [2**64 + 1, 5]], dtype=object),
+    np.arange(12).reshape(4, 3) % 2 == 0,
+], ids=["int64", "python-ints", "bool"])
+def test_rectangular_csv_matches_the_per_cell_reference(data):
+    A = OccurrenceMatrix(tuple(f"d,{i}" for i in range(data.shape[0])),
+                         tuple(f'a"{j}' for j in range(data.shape[1])), data)
+    assert serialize_rectangular_matrix(A) == per_cell_rectangular_csv(A)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cocmap import (
     CooccurrenceMatrix,
+    LayoutResult,
     WeightedGraph,
     builtin_dataset,
     cooccurrence,
@@ -19,6 +20,15 @@ from cocmap import (
     import_pajek,
     kamada_kawai,
     shortest_path_lengths,
+)
+from cocmap.layout import (
+    FONT_SIZE,
+    MAX_STROKE,
+    MIN_STROKE,
+    NODE_RADIUS,
+    SVG_HEIGHT,
+    SVG_MARGIN,
+    SVG_WIDTH,
 )
 
 
@@ -417,3 +427,118 @@ def test_pajek_round_trip_or_refuse(labels):
     H, coords = import_pajek(text)
     assert H == G
     assert coords.shape == (len(labels), 2)
+
+
+def format_weight_reference(w):
+    """Pajek edge-weight text as the former ``layout._format_weight`` wrote it."""
+    if w == int(w) and abs(w) < 1e15:
+        return str(int(w))
+    return repr(float(w))
+
+
+def pajek_reference(G, layout=None):
+    """``export_pajek`` text with its former inline normalization and weight text."""
+    lines = [f"*Vertices {G.n}"]
+    coords = None
+    if layout is not None:
+        pos = np.asarray(layout.positions, dtype=float)
+        span = pos.max(axis=0) - pos.min(axis=0)
+        span = np.where(span > 0, span, 1.0)
+        coords = (pos - pos.min(axis=0)) / span
+    for idx, label in enumerate(G.node_labels):
+        if coords is None:
+            lines.append(f'{idx + 1} "{label}"')
+        else:
+            lines.append(f'{idx + 1} "{label}" {coords[idx, 0]:.6f} {coords[idx, 1]:.6f}')
+    lines.append("*Edges")
+    lines += [f"{i + 1} {j + 1} {format_weight_reference(w)}" for i, j, w in G.edges]
+    return "\n".join(lines) + "\n"
+
+
+def svg_reference(G, layout):
+    """``export_svg`` text with its former per-axis canvas scaling."""
+    pos = np.asarray(layout.positions, dtype=float)
+    lo = pos.min(axis=0)
+    span = pos.max(axis=0) - lo
+    span = np.where(span > 0, span, 1.0)
+    inner_w = SVG_WIDTH - 2 * SVG_MARGIN
+    inner_h = SVG_HEIGHT - 2 * SVG_MARGIN
+    scaled = np.empty_like(pos)
+    scaled[:, 0] = SVG_MARGIN + (pos[:, 0] - lo[0]) / span[0] * inner_w
+    scaled[:, 1] = SVG_MARGIN + (pos[:, 1] - lo[1]) / span[1] * inner_h
+    weights = [w for _, _, w in G.edges] or [1.0]
+    w_min, w_max = min(weights), max(weights)
+
+    def stroke(w):
+        if w_max == w_min:
+            return (MIN_STROKE + MAX_STROKE) / 2.0
+        return MIN_STROKE + (w - w_min) / (w_max - w_min) * (MAX_STROKE - MIN_STROKE)
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+    ]
+    for i, j, w in G.edges:
+        parts.append(
+            f'<line x1="{scaled[i, 0]:.2f}" y1="{scaled[i, 1]:.2f}" '
+            f'x2="{scaled[j, 0]:.2f}" y2="{scaled[j, 1]:.2f}" '
+            f'stroke="#777777" stroke-width="{stroke(w):.3f}"/>'
+        )
+    for idx, label in enumerate(G.node_labels):
+        x, y = scaled[idx]
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{NODE_RADIUS}" fill="#1f3c88"/>')
+        safe = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(
+            f'<text x="{x + NODE_RADIUS + 2:.2f}" y="{y - 2:.2f}" '
+            f'font-size="{FONT_SIZE}" font-family="sans-serif">{safe}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def test_pajek_weight_text_matches_the_former_formatter():
+    weights = [1.0, 2.0, 7.0, 0.5, 0.12345678901234, 1.0 / 3.0, 5e-324,
+               123456789012345.0, 999999999999999.0, 1e15, 1e15 + 2.0, 2.5e15,
+               2.0**53 + 2.0, 1e16, 1e300]
+    n = len(weights) + 1
+    G = WeightedGraph(tuple(f"v{i}" for i in range(n)),
+                      tuple((i, i + 1, w) for i, w in enumerate(weights)))
+    assert export_pajek(G) == pajek_reference(G)
+    edge_lines = export_pajek(G).splitlines()[n + 2:]
+    assert [line.split()[2] for line in edge_lines] == list(map(format_weight_reference, weights))
+    assert edge_lines[0].split()[2] == "1" and edge_lines[9].split()[2] == "1000000000000000.0"
+
+
+FLAT_LAYOUTS = {
+    "flat-x": [[2.0, 0.0], [2.0, 1.5], [2.0, -3.0]],
+    "flat-y": [[0.0, -1.0], [0.25, -1.0], [7.0, -1.0]],
+    "one-point": [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_LAYOUTS))
+def test_normalization_matches_the_former_formulas_on_flat_axes(name):
+    G = WeightedGraph(("a", "b", "c"), ((0, 1, 2.0), (1, 2, 3.5)))
+    layout = LayoutResult(np.array(FLAT_LAYOUTS[name]), 0.0, 0)
+    assert export_pajek(G, layout) == pajek_reference(G, layout)
+    assert export_svg(G, layout) == svg_reference(G, layout)
+
+
+def test_normalization_matches_the_former_formulas_on_layouts():
+    rng = np.random.default_rng(17)
+    graphs = [graph_from_cooccurrence(builtin_dataset("figure1"), 1), complete_graph(5)]
+    graphs += [random_connected_graph(rng, int(rng.integers(3, 30))) for _ in range(20)]
+    graphs.append(WeightedGraph(tuple("abcdef"), ((0, 2, 1.0), (2, 4, 1.0), (1, 3, 5.0))))
+    for G in graphs:
+        layout = kamada_kawai(G)
+        assert export_pajek(G, layout) == pajek_reference(G, layout)
+        assert export_svg(G, layout) == svg_reference(G, layout)
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf")])
+def test_graph_refuses_weights_pajek_cannot_carry(weight):
+    # a NaN weight would be written as an empty field and read back as 1
+    with pytest.raises(ValueError, match="positive and finite"):
+        WeightedGraph(("a", "b"), ((0, 1, weight),))

@@ -291,3 +291,40 @@ class TestBinarize:
         data = np.array([[2, 0, 7], [0, 1, 0], [7, 0, 0]])
         M = CooccurrenceMatrix(("a", "b", "c"), data)
         assert np.array_equal(np.asarray(binarize(M).data), (data > 0).astype(int))
+
+
+def _frozen_copies():
+    """(name, caller's array, build the object from it, read the object's array)."""
+    from cocmap import Configuration, LayoutResult, LoadingsMatrix
+
+    counts = np.array([[1, 0], [2, 3]], dtype=np.int64)
+    sym = np.array([[2, 1], [1, 2]], dtype=np.int64)
+    sim = np.array([[1.0, 0.5], [0.5, 1.0]])
+    dis = np.array([[0.0, 0.5], [0.5, 0.0]])
+    coords = np.array([[0.5, -0.5], [-0.5, 0.5]])
+    loadings = np.array([[0.6], [0.8]])
+    return [
+        ("occurrence", counts, lambda a: OccurrenceMatrix(("d1", "d2"), ("x", "y"), a),
+         lambda m: m.data),
+        ("cooccurrence", sym, lambda a: CooccurrenceMatrix(("x", "y"), a), lambda m: m.data),
+        ("similarity", sim, lambda a: ProximityMatrix(("x", "y"), a, kind="similarity"),
+         lambda m: m.data),
+        ("dissimilarity", dis, lambda a: ProximityMatrix(("x", "y"), a, kind="dissimilarity"),
+         lambda m: m.data),
+        ("configuration", coords, lambda a: Configuration(("x", "y"), a, 0.0, 1, True),
+         lambda c: c.coords),
+        ("layout", coords.copy(), lambda a: LayoutResult(a, 0.0, 0), lambda r: r.positions),
+        ("loadings", loadings, lambda a: LoadingsMatrix(("x", "y"), a, (1.0,), (50.0,)),
+         lambda m: m.loadings),
+    ]
+
+
+@pytest.mark.parametrize("case", _frozen_copies(), ids=lambda case: case[0])
+def test_construction_leaves_the_callers_array_writeable(case):
+    _, array, build, stored = case
+    obj = build(array)
+    before = np.array(stored(obj))
+    assert array.flags.writeable
+    assert not stored(obj).flags.writeable
+    array[0, 0] += 1
+    assert np.array_equal(stored(obj), before)

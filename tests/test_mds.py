@@ -1,5 +1,6 @@
 """SMACOF scaling, isotonic regression, classical start, and alignment."""
 
+import importlib
 import re
 import warnings
 
@@ -24,6 +25,7 @@ from cocmap import (
     transform_disparities,
 )
 from cocmap.mds import _fixed_pairs, _smacof
+from cocmap.proximity import _pairwise_distances
 
 
 def brute_force_isotonic(values, weights=None):
@@ -530,3 +532,65 @@ class TestDisparities:
             ordinal_reference(delta, dist, mask),
             rtol=1e-12, atol=1e-12,
         )
+
+
+def unit_weight_smacof(W, targets, X, epsilon, max_iterations, update=None):
+    """Reference: the SMACOF core's former all-ones special case.
+
+    With ``W = 1 - I`` it took ``X = B(X) X / n`` instead of ``V+ B(X) X``;
+    ``V+`` acts as ``1/n`` on centered configurations, so the two agree up
+    to rounding.
+    """
+    n = len(X)
+    assert np.array_equal(W, 1.0 - np.eye(n))
+    w = W.ravel()
+
+    def weigh(T):
+        WT = W * T
+        return WT, float(np.dot(WT.ravel(), T.ravel()))
+
+    def stress(T, dist, norm):
+        r = T - dist
+        r *= r
+        return float(np.dot(w, r.ravel())) / norm
+
+    T = targets
+    WT, norm = weigh(T)
+    dist = _pairwise_distances(X)
+    history = [stress(T, dist, norm)]
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = WT / dist
+        ratio[dist == 0] = 0.0
+        BX = ratio.sum(axis=1)[:, None] * X - ratio @ X
+        X = BX / n
+        X -= X.mean(axis=0)
+        dist = _pairwise_distances(X)
+        if update is not None:
+            T = update(dist)
+            WT, norm = weigh(T)
+        history.append(stress(T, dist, norm))
+        if history[-2] - history[-1] < epsilon:
+            converged = True
+            break
+    return X, history, iterations, converged
+
+
+@pytest.mark.parametrize("level", ["ratio", "interval", "ordinal"])
+@pytest.mark.parametrize("seed", [None, 3, 11])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_unit_weights_match_the_former_one_over_n_update(monkeypatch, level, seed, k):
+    cfg = MdsConfig(dimensions=k, level=level, init="classical" if seed is None else "random",
+                    seed=seed)
+    cities = builtin_dataset("cities")
+    fit = mds(cities, cfg)
+    # the package exports a function named mds, so reach the module itself
+    monkeypatch.setattr(importlib.import_module("cocmap.mds"), "_smacof", unit_weight_smacof)
+    reference = mds(cities, cfg)
+    assert fit.iterations_used == reference.iterations_used
+    assert fit.converged == reference.converged
+    scale = np.abs(reference.coords).max()
+    assert np.abs(fit.coords - reference.coords).max() <= 1e-12 * scale
+    assert fit.stress == pytest.approx(reference.stress, rel=1e-11)

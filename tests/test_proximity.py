@@ -276,3 +276,34 @@ class TestPearsonOfProximities:
                             kind="dissimilarity")
         R = pearson_of_proximities(P)
         assert R.data[0, 2] == pytest.approx(-1.0, abs=1e-12)
+
+
+def euclidean_reference(X):
+    """The column distances as `euclidean_columns` computed them before it
+    shared the SMACOF distance kernel."""
+    X = np.asarray(X, dtype=float)
+    sq = (X**2).sum(axis=0)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
+    d = np.sqrt(np.maximum(d2, 0.0))
+    d = (d + d.T) / 2.0
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_euclidean_columns_is_bitwise_the_reference_formula(seed):
+    rng = np.random.default_rng(seed)
+    n_docs, n_attrs = int(rng.integers(1, 400)), int(rng.integers(2, 60))
+    # counts up to 1e8 make the squared sums round, so the order of operations shows
+    top = 50 if seed < 4 else 10**8
+    data = rng.integers(0, top, size=(n_docs, n_attrs))
+    if seed % 2:  # duplicate columns: distance exactly 0 off the diagonal
+        data[:, 1] = data[:, 0]
+        data[:, -1] = data[:, 0]
+    A = OccurrenceMatrix(tuple(f"d{i}" for i in range(n_docs)),
+                         tuple(f"a{j}" for j in range(n_attrs)), data)
+    D = np.asarray(euclidean_columns(A).data)
+    expected = euclidean_reference(data)
+    assert np.array_equal(D.view(np.int64), expected.view(np.int64))
+    if seed % 2 and top == 50:  # exact arithmetic: equal columns at distance 0
+        assert D[0, 1] == D[0, -1] == 0.0
