@@ -10,7 +10,8 @@ with the input hash, configuration, and fit statistics; identical
 invocations produce byte-identical reports apart from the timestamp.
 
 Exit codes: 0 success, 1 data error (message carries the module-qualified
-error name), 2 usage error.
+error name), 2 usage error.  Warnings (a fit stopped at its iteration cap,
+suspect input) print as ``warning: <message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -174,7 +176,8 @@ def _write_layout(value, out_dir: Path, stem: str):
     paths = [_write(out_dir / "layout.net", layout_mod.export_pajek(graph, result)),
              _write(out_dir / "layout.svg", layout_mod.export_svg(graph, result))]
     return paths, {"final_energy": result.final_energy, "iterations": result.iterations,
-                   "converged": result.converged, "nodes": graph.n, "edges": len(graph.edges)}
+                   "converged": result.converged, "max_gradient": result.max_gradient,
+                   "nodes": graph.n, "edges": len(graph.edges)}
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +488,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -497,7 +504,9 @@ def run(argv=None) -> int:
             raise UsageError("provide --in FILE or --builtin NAME")
         if getattr(args, "init", None) == "random" and args.seed is None:
             raise UsageError("--init random requires an explicit --seed")
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -10,23 +10,25 @@ The spring energy is ``sum_{i<j} k_ij (|x_i - x_j| - L d_ij)^2`` with
 graph-theoretic distances ``d_ij`` and stiffness ``k_ij = 1 / d_ij^2``.
 That is weighted raw stress, so each component is fitted by the SMACOF
 core of :mod:`cocmap.mds` (stress majorization, Gansner, Koren & North
-2004): every iteration moves all vertices at once and cannot raise the
-energy, so the energy at termination never exceeds the energy at the
-circular start layout.  A stiffness constant ``K`` would only scale the
-energy, never the positions, so none is offered; nor is ``L``, fixed at 1:
-the Pajek and SVG writers normalize the positions, so another ``L`` would
-only scale the energy by ``L^2``.
+2004), started from classical scaling of the hop counts as Brandes & Pich
+(2008) recommend: every iteration moves all vertices at once and cannot
+raise the energy, so the energy at termination never exceeds the energy of
+that start.  A stiffness constant ``K`` would only scale the energy, never
+the positions, so none is offered; nor is ``L``, fixed at 1: the Pajek and
+SVG writers normalize the positions, so another ``L`` would only scale the
+energy by ``L^2``.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ingest import _number_cells
 from .matrices import CooccurrenceMatrix, _as_labels, _freeze
-from .mds import MdsConfig, _smacof
+from .mds import MdsConfig, _smacof, classical_init
 
 
 @dataclass(frozen=True)
@@ -70,7 +72,9 @@ class LayoutResult:
     ``iterations`` sums the iterations over the components, and
     ``converged`` is true when every component stopped on the energy change
     rather than at the iteration cap.  ``initial_energy`` is the spring
-    energy of the circular start layout; majorization only ever lowers it.
+    energy of the classical scaling start; majorization only ever lowers
+    it.  ``max_gradient`` is the largest per-vertex norm of the spring
+    energy's gradient at ``positions``: zero at a stationary layout.
     """
 
     positions: np.ndarray
@@ -78,6 +82,7 @@ class LayoutResult:
     iterations: int
     initial_energy: float = 0.0
     converged: bool = True
+    max_gradient: float = 0.0
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -141,8 +146,10 @@ def kamada_kawai(G: WeightedGraph) -> LayoutResult:
     """Spring embedding of a graph in the plane, one hop of length 1.
 
     Disconnected graphs are laid out per component and the components packed
-    on a grid with a padding of one hop.  The start layout places vertices
-    on a circle in label order, so runs are deterministic.
+    on a grid with a padding of one hop.  Each component starts from the
+    classical scaling (Torgerson) embedding of its hop counts, with signs
+    fixed by :func:`~cocmap.mds.classical_init`, so runs are deterministic.
+    A component that stops at the iteration cap is named in a warning.
     """
     n = G.n
     if n < 2:
@@ -154,6 +161,7 @@ def kamada_kawai(G: WeightedGraph) -> LayoutResult:
     initial_energy = 0.0
     total_iterations = 0
     all_converged = True
+    max_gradient = 0.0
     placed: list[tuple[list[int], np.ndarray]] = []
     for comp in comps:
         k = len(comp)
@@ -163,15 +171,23 @@ def kamada_kawai(G: WeightedGraph) -> LayoutResult:
         d = hops[np.ix_(comp, comp)]
         W = 1.0 / np.where(d > 0, d, 1.0) ** 2
         np.fill_diagonal(W, 0.0)
-        # circular start in label order, scaled to the component diameter
-        radius = max(float(d.max()), 1.0) / 2.0
-        angles = 2.0 * np.pi * np.arange(k) / k
-        X = radius * np.column_stack([np.cos(angles), np.sin(angles)])
+        # classical scaling start; a two-vertex component is 1-D.  It puts
+        # vertices with equal hop rows (twin leaves) on one point, closer
+        # than the core's Gram-form distances resolve, so a fixed jitter of
+        # 1e-5 diameters splits them
+        X = np.zeros((k, 2))
+        X[:, :min(2, k - 1)] = classical_init(d, min(2, k - 1))
+        X += 1e-5 * float(d.max()) * np.random.default_rng(0).standard_normal((k, 2))
         # stop as mds() does by default
         X, history, iterations, converged = _smacof(W, d, X, MdsConfig.epsilon,
                                                     MdsConfig.max_iterations)
         # the history is normalized by the energy's weighted target sum
         scale = float((W * d * d).sum()) / 2
+        if not converged:
+            warnings.warn(f"layout of the {k}-vertex component with {G.node_labels[comp[0]]!r} "
+                          f"stopped at the cap of {iterations} iterations; the last energy "
+                          f"change was {(history[-2] - history[-1]) * scale:.3g}", stacklevel=2)
+        max_gradient = max(max_gradient, _max_gradient(W, d, X))
         initial_energy += history[0] * scale
         total_energy += history[-1] * scale
         total_iterations += iterations
@@ -194,7 +210,24 @@ def kamada_kawai(G: WeightedGraph) -> LayoutResult:
         x_cursor += size[0] + pad
         row_height = max(row_height, float(size[1]))
     return LayoutResult(positions, total_energy, total_iterations, initial_energy,
-                        all_converged)
+                        all_converged, max_gradient)
+
+
+def _max_gradient(W: np.ndarray, d: np.ndarray, X: np.ndarray) -> float:
+    """Largest vertex gradient norm of ``sum_{i<j} W_ij (|x_i - x_j| - d_ij)^2``.
+
+    The gradient at ``x_i`` is ``2 sum_j W_ij (1 - d_ij / |x_i - x_j|) (x_i - x_j)``;
+    a coincident pair contributes nothing, as in the SMACOF update.  The
+    distances come from coordinate differences, not the core's Gram form,
+    which reads a nearly coincident pair as coincident and would hide it.
+    """
+    diff = X[:, None, :] - X[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = W - W * d / dist
+    factor[dist == 0] = 0.0
+    grad = 2.0 * (factor[:, :, None] * diff).sum(axis=1)
+    return float(np.sqrt((grad**2).sum(axis=1)).max())
 
 
 def _unit_box(layout: LayoutResult) -> np.ndarray:

@@ -377,7 +377,8 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
     the measurement level the fit assumes.  Returns a centered
     :class:`Configuration` whose ``stress_history`` records the normalized
     raw stress after every majorization step.  A point with no observed
-    dissimilarity is named in a warning: nothing places it.
+    dissimilarity is named in a warning: nothing places it.  A fit that
+    stops at ``cfg.max_iterations`` warns with its last stress change.
     """
     work = to_dissimilarity(P) if P.kind == "similarity" else P
     delta = np.array(work.data, dtype=float)
@@ -426,6 +427,9 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
         lambda dist: normalize(transform_disparities(delta, dist, cfg.level, mask, fixed=fixed)))
     X, history, iterations, converged = _smacof(W, dhat, X, cfg.epsilon, cfg.max_iterations,
                                                 update)
+    if not converged:
+        warnings.warn(f"SMACOF stopped at the cap of {iterations} iterations; the last "
+                      f"stress change was {history[-2] - history[-1]:.3g}", stacklevel=2)
     return Configuration(
         labels=work.labels,
         coords=X,

@@ -109,8 +109,21 @@ def _pairwise_distances(X: np.ndarray) -> np.ndarray:
 
 
 def euclidean_columns(A: OccurrenceMatrix) -> ProximityMatrix:
-    """Euclidean distance between attribute columns (a dissimilarity)."""
-    d = _pairwise_distances(np.asarray(A.data, dtype=float).T)
+    """Euclidean distance between attribute columns (a dissimilarity).
+
+    The Gram form ``sq_i + sq_j - 2 G_ij`` cancels when two columns are
+    nearly equal: at counts near 1e8 it can put two copies of a column 45 apart.
+    A pair whose squared distance falls below 1e-6 of ``sq_i + sq_j`` is
+    recomputed from the column difference, so equal columns are at 0.
+    """
+    X = np.asarray(A.data, dtype=float).T
+    d = _pairwise_distances(X)
+    sq = (X**2).sum(axis=1)
+    close = d * d <= 1e-6 * (sq[:, None] + sq)
+    np.fill_diagonal(close, False)
+    for i in np.flatnonzero(close.any(axis=1)):
+        js = np.flatnonzero(close[i])
+        d[i, js] = d[js, i] = np.sqrt(((X[js] - X[i]) ** 2).sum(axis=1))
     np.fill_diagonal(d, 0.0)
     return ProximityMatrix(A.cols, d, kind="dissimilarity")
 

@@ -9,6 +9,7 @@ numbers in the FAIL line (the README's acceptance section walks through each).
 
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -177,8 +178,12 @@ def test_criterion_06_smacof_monotonicity():
         P = ProximityMatrix(tuple(f"p{i}" for i in range(n)), d, kind="dissimilarity")
         finals = {}
         for level in ("ratio", "interval", "ordinal"):
-            result = mds(P, MdsConfig(dimensions=2, level=level, epsilon=1e-10,
-                                      max_iterations=500))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = mds(P, MdsConfig(dimensions=2, level=level, epsilon=1e-10,
+                                          max_iterations=500))
+            # a fit warns exactly when it stops at its cap
+            assert len(caught) == (not result.converged), [str(w.message) for w in caught]
             seq = np.array(result.stress_history)
             step = float(np.diff(seq).max(initial=-np.inf))
             worst_step = max(worst_step, step)

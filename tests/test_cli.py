@@ -313,7 +313,8 @@ class TestSubcommandPipelineParity:
                     "--out", str(tmp_path / "pipe")]) == 0
         sub = read_report(tmp_path / "sub", "layout")["results"]
         pipe = read_report(tmp_path / "pipe", "pipeline")["results"]
-        assert set(sub) == {"final_energy", "iterations", "converged", "nodes", "edges"}
+        assert set(sub) == {"final_energy", "iterations", "converged", "max_gradient", "nodes",
+                            "edges"}
         assert set(sub) <= set(pipe)
 
     def test_layout_results_match_pipeline_on_the_same_counts(self, tmp_path, records_file):
@@ -391,6 +392,32 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
                          capture_output=True, text=True, timeout=120)
     assert bad.returncode == 2
     assert "provide --in FILE or --builtin NAME" in bad.stderr
+
+
+def test_capped_fit_prints_one_warning_line(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cocmap", "mds", "--builtin", "cities", "--init", "random",
+         "--seed", "1", "--max-iter", "3", "--epsilon", "1e-15", "--out", "o"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("warning: SMACOF stopped at the cap of 3 iterations; "
+                                  "the last stress change was ")
+    assert proc.stderr.count("\n") == 1
+    assert read_report(tmp_path / "o", "mds")["results"]["converged"] is False
+
+
+@pytest.mark.filterwarnings("default::UserWarning")
+def test_run_prints_the_same_warning_line(tmp_path, capsys):
+    code = run(["mds", "--builtin", "cities", "--init", "random", "--seed", "1",
+                "--max-iter", "3", "--epsilon", "1e-15", "--out", str(tmp_path / "o")])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: SMACOF stopped at the cap of 3 iterations; "
+                          "the last stress change was ")
+    assert err.count("\n") == 1
 
 
 INPUT_COMMANDS = {

@@ -5,12 +5,13 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocmap import (
     CooccurrenceMatrix,
     LayoutResult,
+    MdsConfig,
     WeightedGraph,
     builtin_dataset,
     cooccurrence,
@@ -112,6 +113,36 @@ def circular_start(hops, edge_length=1.0):
     radius = edge_length * max(float(hops.max()), 1.0) / 2.0
     angles = 2.0 * np.pi * np.arange(n) / n
     return radius * np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def classical_start(hops):
+    """Top two eigenvectors of -J D^2 J / 2 scaled by root eigenvalues, plus the jitter.
+
+    Each column's largest-magnitude entry is positive; the jitter is 1e-5
+    diameters of standard normal noise drawn from ``default_rng(0)``.
+    """
+    n = len(hops)
+    J = np.eye(n) - np.full((n, n), 1.0 / n)
+    B = -0.5 * (J @ hops**2 @ J)
+    values, vectors = np.linalg.eigh((B + B.T) / 2.0)
+    top = vectors[:, ::-1][:, :2]
+    peak = top[np.abs(top).argmax(axis=0), [0, 1]]
+    X = top * np.sign(peak) * np.sqrt(np.maximum(values[::-1][:2], 0.0))
+    X -= X.mean(axis=0)
+    return X + 1e-5 * hops.max() * np.random.default_rng(0).standard_normal((n, 2))
+
+
+def spring_energy(X, hops):
+    """sum_{i<j} (|x_i - x_j| - d_ij)^2 / d_ij^2 over the pairs of one component."""
+    dist = np.sqrt(((X[:, None] - X[None]) ** 2).sum(-1))
+    iu = np.triu_indices(len(X), 1)
+    return float((((dist - hops)[iu] / hops[iu]) ** 2).sum())
+
+
+def component_lists(hops):
+    """Vertex lists of the connected components, from finite hop counts."""
+    comps = {tuple(np.flatnonzero(np.isfinite(row))) for row in hops}
+    return sorted(list(c) for c in comps)
 
 
 class TestGraphFromCooccurrence:
@@ -251,12 +282,32 @@ class TestKamadaKawai:
             hops = deque_hops(G)
             result = kamada_kawai(G)
             assert result.converged
-            for X, energy in ((circular_start(hops), result.initial_energy),
+            for X, energy in ((classical_start(hops), result.initial_energy),
                               (result.positions, result.final_energy)):
-                dist = np.sqrt(((X[:, None] - X[None]) ** 2).sum(-1))
-                iu = np.triu_indices(G.n, 1)
-                mine = float((((dist - hops)[iu] / hops[iu]) ** 2).sum())
-                assert abs(mine - energy) <= 1e-9 * mine
+                mine = spring_energy(np.asarray(X), hops)
+                # a tree drawn without distortion ends near 1e-14, where the
+                # core's Gram-form distances leave an absolute gap near 1e-21
+                assert abs(mine - energy) <= 1e-9 * mine + 1e-15
+
+    def test_max_gradient_matches_the_spring_gradients(self):
+        rng = np.random.default_rng(4)
+        graphs = [random_connected_graph(rng, int(rng.integers(5, 60))) for _ in range(10)]
+        graphs += [random_graph(rng, 40, 0.06) for _ in range(3)]
+        for G in graphs:
+            hops = deque_hops(G)
+            result = kamada_kawai(G)
+            pos = np.asarray(result.positions)
+            mine = max(spring_gradients(pos[c], hops[np.ix_(c, c)]).max()
+                       for c in component_lists(hops) if len(c) > 1)
+            assert abs(result.max_gradient - mine) <= 1e-9 * mine, (result.max_gradient, mine)
+
+    def test_warns_when_a_component_stops_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(MdsConfig, "max_iterations", 3)
+        G = random_connected_graph(np.random.default_rng(5), 12)
+        with pytest.warns(UserWarning, match="12-vertex component with 'v0' stopped at "
+                                             "the cap of 3 iterations; the last energy change"):
+            result = kamada_kawai(G)
+        assert not result.converged and result.iterations == 3
 
     @pytest.mark.parametrize("seed", range(6))
     def test_final_layout_is_stationary(self, seed):
@@ -542,3 +593,56 @@ def test_graph_refuses_weights_pajek_cannot_carry(weight):
     # a NaN weight would be written as an empty field and read back as 1
     with pytest.raises(ValueError, match="positive and finite"):
         WeightedGraph(("a", "b"), ((0, 1, weight),))
+
+
+@st.composite
+def layout_graphs(draw):
+    """Disjoint unions of small random graphs, stars, twin leaves, pairs and isolated vertices."""
+    edges: list[tuple[int, int, float]] = []
+    n = 0
+    for kind in draw(st.lists(st.sampled_from(["random", "star", "twins", "pair", "isolated"]),
+                              min_size=1, max_size=4)):
+        if kind == "random":
+            k = draw(st.integers(2, 10))
+            pairs = draw(st.sets(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                                 max_size=2 * k))
+            edges += [(n + min(p), n + max(p), 1.0) for p in sorted(pairs) if p[0] != p[1]]
+        elif kind == "star":
+            k = draw(st.integers(2, 12))
+            edges += [(n, n + leaf, 1.0) for leaf in range(1, k)]
+        elif kind == "twins":
+            # a path whose last vertex carries two or more leaves
+            length, leaves = draw(st.integers(1, 8)), draw(st.integers(2, 5))
+            edges += [(n + i, n + i + 1, 1.0) for i in range(length - 1)]
+            edges += [(n + length - 1, n + length + leaf, 1.0) for leaf in range(leaves)]
+            k = length + leaves
+        elif kind == "pair":
+            k = 2
+            edges.append((n, n + 1, 1.0))
+        else:
+            k = 1
+        n += k
+    n = max(n, 2)
+    return WeightedGraph(tuple(f"v{i}" for i in range(n)), tuple(sorted(set(edges))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout_graphs())
+# four twin leaves on a six-vertex path: classical scaling puts them on one
+# point, and without the start's jitter two of them ended 1.5e-10 apart
+@example(WeightedGraph(tuple(f"v{i}" for i in range(10)),
+                       tuple((i, i + 1, 1.0) for i in range(5))
+                       + tuple((5, leaf, 1.0) for leaf in range(6, 10))))
+def test_layout_contract_on_random_graphs(G):
+    result = kamada_kawai(G)
+    pos = np.asarray(result.positions)
+    assert np.all(np.isfinite(pos))
+    assert result.final_energy <= result.initial_energy * (1 + 1e-12) + 1e-12
+    # no two vertices of one component coincide
+    for comp in component_lists(deque_hops(G)):
+        dist = np.sqrt(((pos[comp][:, None] - pos[comp][None]) ** 2).sum(-1))
+        assert dist[np.triu_indices(len(comp), 1)].min(initial=np.inf) > 1e-9, comp
+    again = kamada_kawai(G)
+    assert np.array_equal(again.positions, result.positions)
+    assert (again.final_energy, again.initial_energy, again.iterations, again.max_gradient) == \
+        (result.final_energy, result.initial_energy, result.iterations, result.max_gradient)

@@ -373,6 +373,13 @@ class TestMdsBasics:
             warnings.simplefilter("error")
             mds(P, MdsConfig(dimensions=2))
 
+    def test_fit_stopped_at_the_cap_warns(self):
+        cities = builtin_dataset("cities")
+        with pytest.warns(UserWarning, match="cap of 2 iterations; the last stress change was"):
+            result = mds(cities, MdsConfig(dimensions=2, level="ordinal", max_iterations=2,
+                                           epsilon=1e-14))
+        assert not result.converged and result.iterations_used == 2
+
     def test_kind_override_reverses_the_reading(self):
         # reading the mileage matrix as similarities must wreck the map
         cities = builtin_dataset("cities")

@@ -8,7 +8,8 @@ Usage:
 (a checkout's ``src``).  Each call runs once per tree, in a fresh child
 with that tree on ``PYTHONPATH`` and one BLAS thread, writing to the same
 relative output directory, so report paths and printed messages match.
-The calls cover every subcommand, the three demos, and the four benchmark
+The calls cover every subcommand, the three demos, a layout of small graphs
+with twin vertices and a two-vertex component, and the four benchmark
 workloads on the inputs ``perfbench/workloads.generate`` writes at a fixed
 seed; ``perfbench/`` is only read.
 
@@ -45,6 +46,24 @@ Los Angeles,1936,1745,831,1374,0,
 Miami,604,1188,1726,968,,0
 """
 
+# a four-leaf star, a K2,3 and an isolated edge: twin vertices (the star's
+# leaves, each side of the K2,3) and a two-vertex component
+SMALL_GRAPHS = """\
+,s0,s1,s2,s3,s4,a1,a2,b1,b2,b3,e1,e2
+s0,0,1,2,3,1,0,0,0,0,0,0,0
+s1,1,0,0,0,0,0,0,0,0,0,0,0
+s2,2,0,0,0,0,0,0,0,0,0,0,0
+s3,3,0,0,0,0,0,0,0,0,0,0,0
+s4,1,0,0,0,0,0,0,0,0,0,0,0
+a1,0,0,0,0,0,0,0,2,3,1,0,0
+a2,0,0,0,0,0,0,0,2,3,1,0,0
+b1,0,0,0,0,0,2,2,0,0,0,0,0
+b2,0,0,0,0,0,3,3,0,0,0,0,0
+b3,0,0,0,0,0,1,1,0,0,0,0,0
+e1,0,0,0,0,0,0,0,0,0,0,0,2
+e2,0,0,0,0,0,0,0,0,0,0,2,0
+"""
+
 
 def calls(directory: Path) -> list[tuple[str, list[str]]]:
     """Write the inputs under ``directory``; return the calls as (name, arguments without --out)."""
@@ -56,6 +75,8 @@ def calls(directory: Path) -> list[tuple[str, list[str]]]:
     records = str(gens["records-mds"].path)
     gappy = directory / "gappy.csv"
     gappy.write_text(GAPPY_CITIES, encoding="utf-8")
+    small_graphs = directory / "small_graphs.csv"
+    small_graphs.write_text(SMALL_GRAPHS, encoding="utf-8")
     fixed = [
         ("demo-cities-correct", ["demo", "cities-correct"]),
         ("demo-cities-distorted", ["demo", "cities-distorted"]),
@@ -77,6 +98,7 @@ def calls(directory: Path) -> list[tuple[str, list[str]]]:
         ("factor-figure2", ["factor", "--builtin", "figure2"]),
         ("factor-unrotated", ["factor", "--in", records, "--factors", "3", "--rotate", "none"]),
         ("layout-figure1", ["layout", "--builtin", "figure1"]),
+        ("layout-small-graphs", ["layout", "--in", str(small_graphs)]),
         ("pipeline-euclidean-mds", ["pipeline", "--in", records, "--steps",
                                     "euclidean,mds", "--level", "interval"]),
         ("error-random-without-seed", ["mds", "--builtin", "cities", "--init", "random"]),
