@@ -28,7 +28,7 @@ import numpy as np
 
 from .ingest import _number_cells
 from .matrices import CooccurrenceMatrix, _as_labels, _freeze
-from .mds import MdsConfig, _smacof, classical_init
+from .mds import MdsConfig, _distances, _smacof, classical_init
 
 
 @dataclass(frozen=True)
@@ -172,9 +172,9 @@ def kamada_kawai(G: WeightedGraph) -> LayoutResult:
         W = 1.0 / np.where(d > 0, d, 1.0) ** 2
         np.fill_diagonal(W, 0.0)
         # classical scaling start; a two-vertex component is 1-D.  It puts
-        # vertices with equal hop rows (twin leaves) on one point, closer
-        # than the core's Gram-form distances resolve, so a fixed jitter of
-        # 1e-5 diameters splits them
+        # vertices with equal hop rows (twin leaves) on one point, at times
+        # exactly, and B(X) gives an exactly coincident pair no push, so a
+        # fixed jitter of 1e-5 diameters splits them
         X = np.zeros((k, 2))
         X[:, :min(2, k - 1)] = classical_init(d, min(2, k - 1))
         X += 1e-5 * float(d.max()) * np.random.default_rng(0).standard_normal((k, 2))
@@ -217,16 +217,15 @@ def _max_gradient(W: np.ndarray, d: np.ndarray, X: np.ndarray) -> float:
     """Largest vertex gradient norm of ``sum_{i<j} W_ij (|x_i - x_j| - d_ij)^2``.
 
     The gradient at ``x_i`` is ``2 sum_j W_ij (1 - d_ij / |x_i - x_j|) (x_i - x_j)``;
-    a coincident pair contributes nothing, as in the SMACOF update.  The
-    distances come from coordinate differences, not the core's Gram form,
-    which reads a nearly coincident pair as coincident and would hide it.
+    a coincident pair contributes nothing, as in the SMACOF update.  With
+    ``F = W - W d / dist`` that sum is ``2 (F.sum(1) x_i - (F X)_i)``, the
+    core's own ``B(X) X`` algebra.
     """
-    diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=-1))
+    dist = _distances(X)
     with np.errstate(divide="ignore", invalid="ignore"):
-        factor = W - W * d / dist
-    factor[dist == 0] = 0.0
-    grad = 2.0 * (factor[:, :, None] * diff).sum(axis=1)
+        F = W - W * d / dist
+    F[dist == 0] = 0.0
+    grad = 2.0 * (F.sum(axis=1)[:, None] * X - F @ X)
     return float(np.sqrt((grad**2).sum(axis=1)).max())
 
 

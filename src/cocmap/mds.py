@@ -29,7 +29,9 @@ over the upper-triangle pairs (diagonal weight 0, missing proximities
 weight 0).  Note sigma_n is the square of Kruskal's stress-1 for the same
 disparities, so cross-software comparisons must square or root accordingly.
 Each majorization step cannot increase sigma_n, so the recorded stress
-sequence is non-increasing.  The iteration itself is a weighted SMACOF core
+sequence is non-increasing.  Configuration distances are summed one axis
+at a time, so they stay exact for nearly coincident points and every such
+pair gets its push apart.  The iteration itself is a weighted SMACOF core
 that the Kamada-Kawai layout of :mod:`cocmap.layout` shares.
 """
 
@@ -47,7 +49,7 @@ from .errors import (
 )
 from .factor import eigen_symmetric
 from .matrices import ProximityMatrix, _freeze
-from .proximity import _pairwise_distances, to_dissimilarity
+from .proximity import to_dissimilarity
 
 MEASUREMENT_LEVELS = ("ratio", "interval", "ordinal")
 
@@ -223,6 +225,21 @@ def procrustes_align(X, Y):
     return aligned, float(min(max(congruence, 0.0), 1.0))
 
 
+def _distances(X: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``X``, exact near coincidence.
+
+    The squared differences are summed one coordinate axis at a time, so the
+    result is bitwise symmetric and a nearly coincident pair keeps its small
+    distance; the Gram form ``sq_i + sq_j - 2 G_ij`` would cancel it to 0.
+    """
+    d2 = np.zeros((len(X), len(X)))
+    for x in X.T:
+        diff = x[:, None] - x
+        diff *= diff
+        d2 += diff
+    return np.sqrt(d2, out=d2)
+
+
 def _fit_nonneg_affine(delta, dist):
     """Least-squares fit of dist ~ a + b*delta with a, b >= 0."""
     sw = float(len(delta))
@@ -346,7 +363,7 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
 
     T = targets
     WT, norm = weigh(T)
-    dist = _pairwise_distances(X)
+    dist = _distances(X)
     history = [stress(T, dist, norm)]
     converged = False
     iterations = 0
@@ -358,7 +375,7 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
         BX = ratio.sum(axis=1)[:, None] * X - ratio @ X
         X = Vplus @ BX
         X -= X.mean(axis=0)
-        dist = _pairwise_distances(X)
+        dist = _distances(X)
         if update is not None:
             T = update(dist)
             WT, norm = weigh(T)
@@ -415,7 +432,7 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
         rng = np.random.default_rng(cfg.seed)
         X = rng.standard_normal((n, k))
         X -= X.mean(axis=0)
-    dist = _pairwise_distances(X)
+    dist = _distances(X)
     # optimal dilation of the start so the first stress is scale-free
     sxy = float((W * dhat * dist).sum())
     sxx = float((W * dist * dist).sum())

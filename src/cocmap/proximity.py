@@ -98,27 +98,23 @@ def jaccard_columns(A: OccurrenceMatrix) -> ProximityMatrix:
     return ProximityMatrix(A.cols, j, kind="similarity")
 
 
-def _pairwise_distances(X: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of ``X``, bitwise symmetric."""
-    sq = (X**2).sum(axis=1)
-    # (sq_i + sq_j) - 2 G_ij, in place; that order keeps the result symmetric
-    d2 = sq[:, None] + sq
-    d2 -= 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2, out=d2)
-
-
 def euclidean_columns(A: OccurrenceMatrix) -> ProximityMatrix:
     """Euclidean distance between attribute columns (a dissimilarity).
 
-    The Gram form ``sq_i + sq_j - 2 G_ij`` cancels when two columns are
-    nearly equal: at counts near 1e8 it can put two copies of a column 45 apart.
-    A pair whose squared distance falls below 1e-6 of ``sq_i + sq_j`` is
-    recomputed from the column difference, so equal columns are at 0.
+    Distances come from the Gram form ``sqrt(sq_i + sq_j - 2 G_ij)``, one
+    BLAS product over thousands of documents.  The form cancels when two
+    columns are nearly equal: at counts near 1e8 it can put two copies of a
+    column 45 apart.  A pair whose squared distance falls below 1e-6 of
+    ``sq_i + sq_j`` is recomputed from the column difference, so equal
+    columns are at 0.
     """
     X = np.asarray(A.data, dtype=float).T
-    d = _pairwise_distances(X)
     sq = (X**2).sum(axis=1)
+    # (sq_i + sq_j) - 2 G_ij, in place; that order keeps the result symmetric
+    d = sq[:, None] + sq
+    d -= 2.0 * (X @ X.T)
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
     close = d * d <= 1e-6 * (sq[:, None] + sq)
     np.fill_diagonal(close, False)
     for i in np.flatnonzero(close.any(axis=1)):

@@ -24,8 +24,7 @@ from cocmap import (
     to_dissimilarity,
     transform_disparities,
 )
-from cocmap.mds import _fixed_pairs, _smacof
-from cocmap.proximity import _pairwise_distances
+from cocmap.mds import _distances, _fixed_pairs, _smacof
 
 
 def brute_force_isotonic(values, weights=None):
@@ -311,6 +310,19 @@ class TestMdsBasics:
         scale = dists[0, 1]
         np.testing.assert_allclose(dists / scale, np.asarray(d), atol=1e-4)
 
+    def test_objects_with_equal_rows_are_split(self):
+        # two objects at one point of a planar map, with mutual dissimilarity
+        # 1: classical scaling starts them on one point up to rounding, and
+        # the core must still push them apart
+        rng = np.random.default_rng(5)
+        pts = rng.standard_normal((6, 2))
+        pts = np.vstack([pts, np.repeat(rng.standard_normal((1, 2)), 2, axis=0)])
+        D = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+        D[6, 7] = D[7, 6] = 1.0
+        result = mds(ProximityMatrix(tuple("abcdefgh"), D, kind="dissimilarity"))
+        assert np.linalg.norm(result.coords[6] - result.coords[7]) > 0.1
+        assert result.stress < 0.005
+
     def test_correlated_cities_much_worse_than_direct(self):
         cities = builtin_dataset("cities")
         direct = mds(cities, MdsConfig(dimensions=2))
@@ -563,7 +575,7 @@ def unit_weight_smacof(W, targets, X, epsilon, max_iterations, update=None):
 
     T = targets
     WT, norm = weigh(T)
-    dist = _pairwise_distances(X)
+    dist = _distances(X)
     history = [stress(T, dist, norm)]
     converged = False
     iterations = 0
@@ -574,7 +586,7 @@ def unit_weight_smacof(W, targets, X, epsilon, max_iterations, update=None):
         BX = ratio.sum(axis=1)[:, None] * X - ratio @ X
         X = BX / n
         X -= X.mean(axis=0)
-        dist = _pairwise_distances(X)
+        dist = _distances(X)
         if update is not None:
             T = update(dist)
             WT, norm = weigh(T)
