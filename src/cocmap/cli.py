@@ -157,18 +157,23 @@ def _write_rectangular(A, out_dir: Path, stem: str):
 
 def _write_configuration(C, out_dir: Path, stem: str):
     path = _write(out_dir / "configuration.csv", _coords_csv(C.labels, C.coords))
+    history = C.stress_history
     return [path], {"stress": C.stress, "iterations": C.iterations_used,
-                    "converged": C.converged}
+                    "converged": C.converged, "last_stress_change": history[-2] - history[-1]}
 
 
 def _write_loadings(L, out_dir: Path, stem: str):
     paths = [_write(out_dir / "loadings.csv", factor_mod.loadings_to_csv(L)),
              _write(out_dir / "loadings.txt", factor_mod.format_loadings(L))]
-    return paths, {
+    results = {
         "eigenvalues": list(L.eigenvalues),
         "explained_variance_pct": list(L.explained_variance_pct),
         "rotation_iterations": L.rotation_iterations,
     }
+    if L.rotation == "varimax":
+        results.update(varimax_criterion=L.rotation_criterion,
+                       last_criterion_change=L.rotation_criterion_change)
+    return paths, results
 
 
 def _write_layout(value, out_dir: Path, stem: str):

@@ -65,7 +65,13 @@ def eigen_symmetric(M):
 
 @dataclass(frozen=True, eq=False)
 class LoadingsMatrix:
-    """Factor loadings with the eigenvalue spectrum they were drawn from."""
+    """Factor loadings with the eigenvalue spectrum they were drawn from.
+
+    After a varimax rotation, ``rotation_criterion`` is the final varimax
+    criterion of the rotated loadings (row-normalized when the rotation
+    used Kaiser normalization) and ``rotation_criterion_change`` the rise
+    of the criterion over the last sweep.
+    """
 
     variable_labels: tuple[str, ...]
     loadings: np.ndarray
@@ -73,6 +79,8 @@ class LoadingsMatrix:
     explained_variance_pct: tuple[float, ...]
     rotation: str = "none"
     rotation_iterations: int = 0
+    rotation_criterion: float = 0.0
+    rotation_criterion_change: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "variable_labels", tuple(str(x) for x in self.variable_labels))
@@ -200,19 +208,22 @@ def varimax(L: LoadingsMatrix, kaiser_normalize: bool = True, tol: float = 1e-6,
     decreases across sweeps.  The rotated columns come back in one canonical
     order, by descending explained variance (a stable sort, so ties keep
     their rotation order), then signed so each column's largest-magnitude
-    loading is positive.  A single factor has nothing to rotate against,
-    so one-factor loadings come back unchanged after zero sweeps.
+    loading is positive.  The result carries the final criterion and its
+    change over the last sweep, so fits that stop at different local
+    maxima can be told apart.  A single factor has nothing to rotate
+    against, so one-factor loadings come back unchanged after zero sweeps.
     """
     if L.n_factors < 1:
         raise ValueError("varimax needs at least one factor")
-    if L.n_factors == 1:
-        return LoadingsMatrix(L.variable_labels, L.loadings, L.eigenvalues,
-                              L.explained_variance_pct, rotation="varimax")
     A = np.array(L.loadings, dtype=float)
     comm = np.sqrt((A**2).sum(axis=1))
     if kaiser_normalize:
         safe = np.where(comm > 0, comm, 1.0)
         A = A / safe[:, None]
+    if L.n_factors == 1:
+        return LoadingsMatrix(L.variable_labels, L.loadings, L.eigenvalues,
+                              L.explained_variance_pct, rotation="varimax",
+                              rotation_criterion=_varimax_criterion(A))
     rotated, _T, history = _varimax_sweeps(A, tol, max_sweeps)
     if kaiser_normalize:
         rotated = rotated * safe[:, None]
@@ -226,6 +237,8 @@ def varimax(L: LoadingsMatrix, kaiser_normalize: bool = True, tol: float = 1e-6,
         tuple(100.0 * ss[order] / A.shape[0]),
         rotation="varimax",
         rotation_iterations=len(history) - 1,
+        rotation_criterion=history[-1],
+        rotation_criterion_change=history[-1] - history[-2],
     )
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cocmap import builtin_dataset, mds
 from cocmap.cli import _coords_csv, run
 
 FIGURE2_RECORDS = "1\tA;B;D\n2\tC;D\n3\tC;D\n4\tA;B\n5\tA;B;D\n"
@@ -215,7 +216,15 @@ class TestFactorCommand:
         results = read_report(out, "factor")["results"]
         assert len(results["explained_variance_pct"]) == 1
         assert results["rotation_iterations"] == 0
+        assert results["last_criterion_change"] == 0.0
         assert "(varimax;" in capsys.readouterr().out
+
+    def test_unrotated_report_has_no_criterion(self, tmp_path, records_file):
+        out = tmp_path / "out"
+        assert run(["factor", "--in", str(records_file), "--factors", "2", "--rotate", "none",
+                    "--out", str(out)]) == 0
+        results = read_report(out, "factor")["results"]
+        assert not {"varimax_criterion", "last_criterion_change"} & set(results)
 
 
 class TestLayoutCommand:
@@ -294,7 +303,10 @@ class TestSubcommandPipelineParity:
                     "--out", str(tmp_path / "pipe")]) == 0
         sub = read_report(tmp_path / "sub", "mds")["results"]
         pipe = read_report(tmp_path / "pipe", "pipeline")["results"]
+        assert set(sub) == {"stress", "iterations", "converged", "last_stress_change"}
         assert set(sub) <= set(pipe)
+        history = mds(builtin_dataset("cities")).stress_history
+        assert sub["last_stress_change"] == history[-2] - history[-1]
 
     def test_mds_results_match_pipeline_on_the_same_matrix(self, tmp_path, records_file):
         assert run(["prox", "--in", str(records_file), "--measure", "pearson", "--shift",
@@ -336,6 +348,7 @@ class TestSubcommandPipelineParity:
                     "--factors", "2", "--out", str(tmp_path / "pipe")]) == 0
         sub = read_report(tmp_path / "sub", "factor")["results"]
         pipe = read_report(tmp_path / "pipe", "pipeline")["results"]
+        assert {"varimax_criterion", "last_criterion_change"} <= set(sub)
         assert sub.items() <= pipe.items()
         for name in ("loadings.csv", "loadings.txt"):
             assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "pipe" / name).read_bytes()

@@ -319,6 +319,28 @@ class TestVarimax:
         assert V.rotation == "varimax"
         assert V.rotation_iterations >= 1
 
+    @pytest.mark.parametrize("kaiser", [False, True])
+    def test_final_criterion_and_last_change_recorded(self, kaiser):
+        rng = np.random.default_rng(14)
+        L = pca_from_correlation(random_correlation(rng, 10), n_factors=4)
+        V = varimax(L, kaiser_normalize=kaiser)
+        A = np.asarray(L.loadings)
+        comm = np.sqrt((A**2).sum(axis=1))[:, None] if kaiser else 1.0
+        # the criterion ignores column order and signs, and Kaiser's
+        # rotation maximizes it for the row-normalized loadings
+        assert V.rotation_criterion == pytest.approx(
+            _varimax_criterion(np.asarray(V.loadings) / comm), rel=1e-12)
+        _, _, history = _varimax_sweeps(A / comm, 1e-6, 100)
+        assert V.rotation_criterion_change == pytest.approx(history[-1] - history[-2],
+                                                            rel=1e-9, abs=1e-15)
+        assert 0.0 <= V.rotation_criterion_change < 1e-6
+
+    def test_one_factor_criterion_is_that_of_its_loadings(self):
+        L = LoadingsMatrix(("a", "b", "c"), [[0.9], [0.5], [0.1]], (1.07,), (35.7,))
+        V = varimax(L, kaiser_normalize=False)
+        assert V.rotation_criterion == _varimax_criterion(np.asarray(L.loadings))
+        assert V.rotation_criterion_change == 0.0
+
     def test_sweep_cap_raises(self):
         rng = np.random.default_rng(13)
         R = random_correlation(rng, 6)

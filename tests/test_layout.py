@@ -215,10 +215,12 @@ class TestShortestPaths:
 
 class TestKamadaKawai:
     def test_single_edge_reaches_exact_length(self):
+        # the start is one hop plus jitter; a plain step lands on one hop
+        # exactly, and the fit keeps it over the relaxed step, which overshoots
         G = WeightedGraph(("a", "b"), ((0, 1, 1.0),))
         result = kamada_kawai(G)
         dist = np.linalg.norm(result.positions[0] - result.positions[1])
-        assert abs(dist - 1.0) < 1e-6
+        assert abs(dist - 1.0) <= 1e-12
 
     def test_path_graph_nearly_collinear(self):
         G = WeightedGraph(("a", "b", "c"), ((0, 1, 1.0), (1, 2, 1.0)))

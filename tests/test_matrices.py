@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cocmap import (
     CooccurrenceMatrix,
@@ -152,6 +155,23 @@ class TestCooccurrence:
         )
         C = np.asarray(cooccurrence(A).data)
         assert np.array_equal(C, C.T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 50), st.integers(2, 50)).flatmap(
+    lambda shape: arrays(np.int64, shape, elements=st.integers(0, 3))),
+    st.sampled_from(["raw", "zeroed"]))
+def test_cooccurrence_matches_a_set_count_oracle(data, policy):
+    n_docs, n_attrs = data.shape
+    A = OccurrenceMatrix(tuple(f"d{i}" for i in range(n_docs)),
+                         tuple(f"a{j}" for j in range(n_attrs)), data)
+    # the set of documents citing each attribute
+    cited_by = [{d for d in range(n_docs) if data[d, j] > 0} for j in range(n_attrs)]
+    expected = [[len(s & t) if i != j or policy == "raw" else 0 for j, t in enumerate(cited_by)]
+                for i, s in enumerate(cited_by)]
+    C = cooccurrence(A, policy)
+    assert C.diagonal_policy == policy
+    assert np.array_equal(np.asarray(C.data), np.array(expected))
 
 
 class TestAffiliations:

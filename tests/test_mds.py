@@ -1,5 +1,6 @@
 """SMACOF scaling, isotonic regression, classical start, and alignment."""
 
+import functools
 import importlib
 import re
 import warnings
@@ -15,12 +16,14 @@ from cocmap import (
     DimensionTooLarge,
     MdsConfig,
     ProximityMatrix,
+    WeightedGraph,
     builtin_dataset,
     classical_init,
     mds,
     monotone_regression,
     pearson_of_proximities,
     procrustes_align,
+    shortest_path_lengths,
     to_dissimilarity,
     transform_disparities,
 )
@@ -456,6 +459,20 @@ class TestMdsProperties:
             assert result.stress < 1e-6
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 50), st.sampled_from(["ratio", "interval", "ordinal"]),
+       st.integers(0, 2**32 - 1))
+def test_similarity_entry_point_fits_its_dissimilarity(n, level, seed):
+    # mds() of a similarity matrix is mds() of to_dissimilarity of it
+    S = random_similarity(np.random.default_rng(seed), n)
+    cfg = MdsConfig(dimensions=2, level=level)
+    as_sim = mds(S, cfg)
+    as_dis = mds(to_dissimilarity(S), cfg)
+    assert as_sim.labels == as_dis.labels
+    assert np.array_equal(as_sim.coords, as_dis.coords)
+    assert as_sim.stress_history == as_dis.stress_history
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 12), st.integers(1, 3), st.sampled_from([0.0, 0.3, 0.7, 1.0]),
        st.booleans(), st.integers(0, 2**32 - 1))
@@ -553,15 +570,23 @@ class TestDisparities:
         )
 
 
-def unit_weight_smacof(W, targets, X, epsilon, max_iterations, update=None):
-    """Reference: the SMACOF core's former all-ones special case.
+def reference_smacof(W, targets, X, epsilon, max_iterations, update=None, *,
+                     relaxation=1.9, unit_weights=False):
+    """Reference: the SMACOF core written out on its own.
 
-    With ``W = 1 - I`` it took ``X = B(X) X / n`` instead of ``V+ B(X) X``;
-    ``V+`` acts as ``1/n`` on centered configurations, so the two agree up
-    to rounding.
+    Each iteration takes the Guttman transform ``G``, moves to
+    ``relaxation * G - (relaxation - 1) * X``, and the last iteration keeps
+    ``G`` instead when its stress is lower.  ``V+`` is ``np.linalg.pinv`` of
+    the weighted Laplacian.  ``unit_weights`` is the core's former all-ones
+    special case: with ``W = 1 - I`` it took ``G = B(X) X / n`` instead of
+    ``V+ B(X) X``; ``V+`` acts as ``1/n`` on centered configurations, so the
+    two agree up to rounding.  ``relaxation=1`` is the former plain step.
     """
     n = len(X)
-    assert np.array_equal(W, 1.0 - np.eye(n))
+    if unit_weights:
+        assert np.array_equal(W, 1.0 - np.eye(n))
+    else:
+        Vplus = np.linalg.pinv(np.diag(W.sum(axis=1)) - W)
     w = W.ravel()
 
     def weigh(T):
@@ -573,10 +598,16 @@ def unit_weight_smacof(W, targets, X, epsilon, max_iterations, update=None):
         r *= r
         return float(np.dot(w, r.ravel())) / norm
 
-    T = targets
-    WT, norm = weigh(T)
+    def score(X):
+        dist = _distances(X)
+        T = targets if update is None else update(dist)
+        WT, norm = weigh(T)
+        return dist, WT, stress(T, dist, norm)
+
+    X = X - X.mean(axis=0)
+    WT, norm = weigh(targets)
     dist = _distances(X)
-    history = [stress(T, dist, norm)]
+    history = [stress(targets, dist, norm)]
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
@@ -584,15 +615,16 @@ def unit_weight_smacof(W, targets, X, epsilon, max_iterations, update=None):
             ratio = WT / dist
         ratio[dist == 0] = 0.0
         BX = ratio.sum(axis=1)[:, None] * X - ratio @ X
-        X = BX / n
-        X -= X.mean(axis=0)
-        dist = _distances(X)
-        if update is not None:
-            T = update(dist)
-            WT, norm = weigh(T)
-        history.append(stress(T, dist, norm))
-        if history[-2] - history[-1] < epsilon:
-            converged = True
+        G = BX / n if unit_weights else Vplus @ BX
+        G -= G.mean(axis=0)
+        X = relaxation * G - (relaxation - 1.0) * X
+        dist, WT, current = score(X)
+        history.append(current)
+        converged = history[-2] - history[-1] < epsilon
+        if converged or iterations == max_iterations:
+            plain = score(G)[2]
+            if plain < history[-1]:
+                X, history[-1] = G, plain
             break
     return X, history, iterations, converged
 
@@ -606,10 +638,53 @@ def test_unit_weights_match_the_former_one_over_n_update(monkeypatch, level, see
     cities = builtin_dataset("cities")
     fit = mds(cities, cfg)
     # the package exports a function named mds, so reach the module itself
-    monkeypatch.setattr(importlib.import_module("cocmap.mds"), "_smacof", unit_weight_smacof)
+    monkeypatch.setattr(importlib.import_module("cocmap.mds"), "_smacof",
+                        functools.partial(reference_smacof, unit_weights=True))
     reference = mds(cities, cfg)
     assert fit.iterations_used == reference.iterations_used
     assert fit.converged == reference.converged
     scale = np.abs(reference.coords).max()
     assert np.abs(fit.coords - reference.coords).max() <= 1e-12 * scale
     assert fit.stress == pytest.approx(reference.stress, rel=1e-11)
+
+
+def test_last_iteration_keeps_a_plain_step_that_lands_on_the_optimum():
+    # one plain step puts two points at their target distance; every
+    # relaxed step overshoots it by 0.9 of the error left
+    W = 1.0 - np.eye(2)
+    X, history, iterations, converged = _smacof(W, W.copy(), np.array([[0.0, 0.0], [3.0, 1.0]]),
+                                                1e-6, 1000)
+    assert converged and len(history) == iterations + 1
+    assert abs(np.linalg.norm(X[0] - X[1]) - 1.0) <= 1e-12
+    assert history[-1] <= 1e-24
+
+
+def random_connected_hops(seed):
+    """Hop counts of a random spanning tree plus random edges, int(1.5 n) - 1 edges in all."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(100, 161))
+    edges = {(int(rng.integers(i)), i) for i in range(1, n)}
+    while len(edges) < int(1.5 * n) - 1:
+        i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+        edges.add((i, j))
+    G = WeightedGraph(tuple(f"v{i}" for i in range(n)), tuple((i, j, 1.0) for i, j in edges))
+    return shortest_path_lengths(G)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_relaxed_step_needs_fewer_iterations_than_the_plain_step(seed):
+    # spring-layout fits, run to 1e-10 so both steps reach a stationary
+    # layout; at the layout's 1e-6 the plain fit at times stops earlier
+    # on a slow stretch, at a higher energy
+    d = random_connected_hops(seed)
+    W = 1.0 / np.where(d > 0, d, 1.0) ** 2
+    np.fill_diagonal(W, 0.0)
+    # the layout's start: classical scaling plus a jitter of 1e-5 diameters
+    X = classical_init(d, 2)
+    X += 1e-5 * float(d.max()) * np.random.default_rng(0).standard_normal(X.shape)
+    _, history, iterations, converged = _smacof(W, d, X, 1e-10, 5000)
+    _, plain_history, plain_iterations, plain_converged = reference_smacof(
+        W, d, X, 1e-10, 5000, relaxation=1.0)
+    assert converged and plain_converged
+    assert plain_iterations >= 1.25 * iterations
+    assert history[-1] <= plain_history[-1] * (1 + 1e-3)
