@@ -301,10 +301,11 @@ def _cmd_mds(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    L, _ = _run(args, "factor", [("factor", STAGES["factor"])],
-                lambda _: {"factors": _n_factors(args), "rotate": args.rotate,
-                           "kaiser": args.kaiser})
-    print(factor_mod.format_loadings(L), end="")
+    _run(args, "factor", [("factor", STAGES["factor"])],
+         lambda _: {"factors": _n_factors(args), "rotate": args.rotate,
+                    "kaiser": args.kaiser})
+    # the table rendered once, as written to loadings.txt
+    print((Path(args.out) / "loadings.txt").read_bytes().decode("utf-8"), end="")
     return 0
 
 

@@ -235,17 +235,21 @@ def parse_square_matrix(text: str, kind: str):
             f"row labels {row_labels!r} do not match header {header!r}"
         )
     raw = np.full((n, n), np.nan)
-    for i, row in enumerate(table[1:], start=0):
-        if len(row) - 1 > n:
+    for i, row in enumerate(table[1:]):
+        cells = row[1:]
+        if len(cells) > n:
             raise MalformedLine(i + 2, "more cells than header columns")
-        for j, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if cell in ("", "."):
-                continue
-            try:
-                raw[i, j] = float(cell)
-            except ValueError:
-                raise MalformedLine(i + 2, f"invalid number {cell!r}") from None
+        try:  # a whole row at a time: float() strips the cells itself
+            raw[i, :len(cells)] = list(map(float, cells))
+        except ValueError:  # a blank or "." cell to mirror, or a bad number
+            for j, cell in enumerate(cells):
+                cell = cell.strip()
+                if cell in ("", "."):
+                    continue
+                try:
+                    raw[i, j] = float(cell)
+                except ValueError:
+                    raise MalformedLine(i + 2, f"invalid number {cell!r}") from None
     missing = np.isnan(raw)
     with np.errstate(invalid="ignore"):
         conflict = np.triu(~missing & ~missing.T & (np.abs(raw - raw.T) > 1e-9), 1)

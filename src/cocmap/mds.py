@@ -16,11 +16,16 @@ iteration the dissimilarities are optimally transformed into *disparities*:
   distances in ascending ``delta`` order, with tied proximities untied (tied
   blocks are ordered by current distance and may receive distinct values).
   The ``delta`` order is sorted once per fit; each iteration re-sorts only
-  inside its tie blocks.
+  inside its tie blocks, and its pool-adjacent-violators fit starts from
+  the previous iteration's blocks: a block is pooled at once when its own
+  isotonic fit is a single block, which late in a fit every block is, and
+  the other blocks are re-split before the usual passes finish the fit.
 
 Disparities are rescaled every outer iteration so that their weighted sum
 of squares equals ``n (n - 1) / 2``, which pins the stress denominator and
-prevents the degenerate collapse solution in the nonmetric case.  The
+prevents the degenerate collapse solution in the nonmetric case; the
+rescaling and the stress of interval and ordinal disparities are taken on
+the vector of observed pairs, not on n x n matrices.  The
 reported badness of fit is normalized raw stress
 
     sigma_n = sum_w (d_hat - d(X))^2 / sum_w d_hat^2
@@ -108,8 +113,15 @@ class Configuration:
         object.__setattr__(self, "stress_history", tuple(float(s) for s in self.stress_history))
 
 
-def _pool_adjacent_violators(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Isotonic fit of ``y``, taken in the given order, with weights ``w > 0``.
+def _block_sizes(first: np.ndarray, n: int) -> np.ndarray:
+    """The lengths of the blocks that start at ``first`` in a sequence of ``n``."""
+    return np.append(first[1:], n) - first
+
+
+def _pool_blocks(means, sums, wsums, first, n: int):
+    """Pool adjacent violators over blocks, each given by its mean, its sums
+    of weighted values and of weights, and its first position in a sequence
+    of ``n``.  Returns the isotonic fit and the start positions of its blocks.
 
     Numpy passes pool first: every run of adjacent blocks whose means do
     not increase shares one value in the fit, so each pass merges all such
@@ -119,15 +131,12 @@ def _pool_adjacent_violators(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     ``[0, 1, ..., n - 2, -1e9]``, so once a pass pools fewer than one block
     in eight, the classic stack loop finishes over the surviving blocks.
     """
-    n = len(y)
-    means, sums, wsums = y, w * y, w
-    first = np.arange(n)  # the position of each block's first element
     while len(means) > 1:
         new_block = np.concatenate(([True], means[1:] > means[:-1]))
         block = np.cumsum(new_block) - 1
         pooled = len(means) - 1 - int(block[-1])
         if pooled == 0:  # strictly increasing: this is the fit
-            return np.repeat(means, np.diff(first, append=n))
+            return means.repeat(_block_sizes(first, n)), first
         last_pass = 8 * pooled < len(means)
         sums = np.bincount(block, sums)
         wsums = np.bincount(block, wsums)
@@ -135,23 +144,108 @@ def _pool_adjacent_violators(y: np.ndarray, w: np.ndarray) -> np.ndarray:
         means = sums / wsums
         if last_pass:
             break
+    # The stack loop visits a block only until one is pushed without a merge:
+    # the rest of that increasing run cannot merge, so it is copied as is.
+    runs = [0, *(np.flatnonzero(means[1:] <= means[:-1]) + 1).tolist(), len(means)]
+    means, sums, wsums, first = means.tolist(), sums.tolist(), wsums.tolist(), first.tolist()
     stack_m: list[float] = []
     stack_s: list[float] = []
     stack_w: list[float] = []
     stack_f: list[int] = []
-    for m, s, wt, f in zip(means.tolist(), sums.tolist(), wsums.tolist(), first.tolist()):
-        while stack_m and stack_m[-1] >= m:
-            stack_m.pop()
-            s += stack_s.pop()
-            wt += stack_w.pop()
-            f = stack_f.pop()
-            m = s / wt
-        stack_m.append(m)
-        stack_s.append(s)
-        stack_w.append(wt)
-        stack_f.append(f)
-    sizes = np.diff(np.array(stack_f, dtype=np.intp), append=n)
-    return np.repeat(np.array(stack_m, dtype=float), sizes)
+    for i, end in zip(runs, runs[1:]):
+        while i < end:
+            m, s, wt, f = means[i], sums[i], wsums[i], first[i]
+            i += 1
+            merged = bool(stack_m) and stack_m[-1] >= m
+            while stack_m and stack_m[-1] >= m:
+                stack_m.pop()
+                s += stack_s.pop()
+                wt += stack_w.pop()
+                f = stack_f.pop()
+                m = s / wt
+            stack_m.append(m)
+            stack_s.append(s)
+            stack_w.append(wt)
+            stack_f.append(f)
+            if not merged:
+                break
+        stack_m += means[i:end]
+        stack_s += sums[i:end]
+        stack_w += wsums[i:end]
+        stack_f += first[i:end]
+    first = np.array(stack_f, dtype=np.intp)
+    return np.array(stack_m, dtype=float).repeat(_block_sizes(first, n)), first
+
+
+def _pool_adjacent_violators(y: np.ndarray, w: np.ndarray):
+    """Isotonic fit of ``y``, taken in the given order, with weights ``w > 0``,
+    pooled from singletons by :func:`_pool_blocks`; returns the fit and the
+    start positions of its blocks."""
+    return _pool_blocks(y, w * y, w, np.arange(len(y)), len(y))
+
+
+_EPS = np.finfo(float).eps
+
+
+def _broken_blocks(y: np.ndarray, first: np.ndarray, sizes: np.ndarray):
+    """Which candidate blocks a unit-weight isotonic fit of ``y`` may not keep whole.
+
+    The candidates start at ``first`` and hold ``sizes`` positions.  A
+    candidate is whole when every proper prefix sum of ``y - m``, ``m`` its
+    mean, is positive: exactly then is its own isotonic fit a single block.
+    Returns a flag per candidate, set unless every such sum clearly exceeds
+    the rounding of this computation, those prefix sums, and the sum of
+    ``y`` over each candidate.
+    """
+    sums = np.add.reduceat(y, first)
+    r = y - (sums / sizes).repeat(sizes)
+    c = r.cumsum()
+    c -= (c[first] - r[first]).repeat(sizes)  # r summed from the block start
+    bad = c <= 8 * len(y) * _EPS * max(-y.min(), y.max())
+    bad[first[1:] - 1] = False  # a whole block's sum is not a proper prefix
+    bad[-1] = False
+    return np.logical_or.reduceat(bad, first), c, sums
+
+
+def _refit_isotonic(y: np.ndarray, first: np.ndarray):
+    """Unit-weight isotonic fit of ``y`` that starts from the blocks of an
+    earlier fit instead of from singletons.
+
+    ``first`` holds the ascending start positions of the candidate blocks,
+    beginning with 0.  Pooling a candidate whose own isotonic fit is a
+    single block (see :func:`_broken_blocks`) is a sequence of legal PAVA
+    moves, so the fit stays the unique one.  A broken candidate is cut
+    after its lowest prefix sum, which splits it into the two blocks of its
+    own fit when that has two, as it mostly has; each piece is tested in
+    turn, and a broken piece is split into singletons.  :func:`_pool_blocks`
+    pools the resulting blocks.  Returns the fit and the start positions of
+    its blocks.
+    """
+    n = len(y)
+    if len(first) == n:  # singletons: nothing to test
+        return _pool_adjacent_violators(y, np.ones_like(y))
+    sizes = _block_sizes(first, n)
+    broken, c, sums = _broken_blocks(y, first, sizes)
+    if broken.any():
+        inside = np.flatnonzero(broken.repeat(sizes))
+        sizes = sizes[broken]
+        starts = np.cumsum(sizes) - sizes  # of the broken candidates, within inside
+        c = c[inside]
+        cut = np.zeros(len(inside) + 1, dtype=bool)
+        cut[starts] = True
+        cut[np.flatnonzero(c == np.minimum.reduceat(c, starts).repeat(sizes)) + 1] = True
+        pieces = np.flatnonzero(cut[:-1])
+        sizes = _block_sizes(pieces, len(inside))
+        split = _broken_blocks(y[inside], pieces, sizes)[0].repeat(sizes)
+        split[pieces] = True
+        keep = np.zeros(n, dtype=bool)
+        keep[first[~broken]] = True
+        keep[inside[split]] = True
+        first = np.flatnonzero(keep)
+        sizes = _block_sizes(first, n)
+        sums = np.add.reduceat(y, first)
+    wsums = sizes.astype(float)
+    return _pool_blocks(sums / wsums, sums, wsums, first, n)
 
 
 def monotone_regression(values, order=None, weights=None) -> np.ndarray:
@@ -173,12 +267,12 @@ def monotone_regression(values, order=None, weights=None) -> np.ndarray:
         if not np.all(np.isfinite(w) & (w > 0)):
             raise ValueError("weights must be finite and positive")
     if order is None:
-        return _pool_adjacent_violators(y, w)
+        return _pool_adjacent_violators(y, w)[0]
     order = np.asarray(order, dtype=int)
     if order.shape != y.shape or not np.array_equal(np.sort(order), np.arange(len(y))):
         raise ValueError(f"order must be a permutation of the {len(y)} value positions")
     out = np.empty_like(y)
-    out[order] = _pool_adjacent_violators(y[order], w[order])
+    out[order] = _pool_adjacent_violators(y[order], w[order])[0]
     return out
 
 
@@ -229,16 +323,22 @@ def procrustes_align(X, Y):
     return aligned, float(min(max(congruence, 0.0), 1.0))
 
 
-def _distances(X: np.ndarray) -> np.ndarray:
+def _distances(X: np.ndarray, out=None) -> np.ndarray:
     """Euclidean distances between the rows of ``X``, exact near coincidence.
 
     The squared differences are summed one coordinate axis at a time, so the
     result is bitwise symmetric and a nearly coincident pair keeps its small
     distance; the Gram form ``sq_i + sq_j - 2 G_ij`` would cancel it to 0.
+    The axes are taken as contiguous copies and the sum is kept in place.
+    ``out``, when given, is a pair of n x n arrays: the result is written
+    into the first, and the second is scratch.
     """
-    d2 = np.zeros((len(X), len(X)))
-    for x in X.T:
-        diff = x[:, None] - x
+    d2, diff = (None, None) if out is None else out
+    axes = np.ascontiguousarray(X.T)
+    d2 = np.subtract.outer(axes[0], axes[0], out=d2)
+    d2 *= d2
+    for x in axes[1:]:
+        diff = np.subtract.outer(x, x, out=diff)
         diff *= diff
         d2 += diff
     return np.sqrt(d2, out=d2)
@@ -270,28 +370,44 @@ def _fit_nonneg_affine(delta, dist):
     return best
 
 
-def _fixed_pairs(delta, mask, level: str):
-    """The part of a disparity transformation that stays fixed during a fit.
+class _FitPairs:
+    """The pairs a disparity transformation fits, and what one call leaves for the next.
 
-    Returns ``(pairs, dv, ranks)``: the flat row-major indices of the masked
-    ``i < j`` pairs, their dissimilarities, and, at the ordinal level only,
-    ``ranks = (order, tied, groups)``: the stable ascending order of ``dv``,
-    the positions in it whose value is shared with a neighbour, and the tie
-    block number of each of those positions.
+    ``upper`` and ``lower`` are the flat indices of the masked ``i < j``
+    pairs in the upper and lower triangle, in row-major order except at the
+    ordinal level, where they are in the stable ascending order of their
+    dissimilarities; there ``tied`` holds the positions whose dissimilarity
+    is shared with a neighbour and ``groups`` the tie block number of each.
+    A call of :func:`transform_disparities` given this object leaves its
+    distances and unscaled disparities in one pair order for
+    :meth:`take_pairs` and, at the ordinal level, keeps in ``blocks`` the
+    block starts of its isotonic fit, from which the next call's fit
+    starts.
     """
-    n = mask.shape[0]
-    rows, cols = np.triu_indices(n, 1)
-    sel = mask[rows, cols]
-    pairs = rows[sel] * n + cols[sel]
-    dv = delta.take(pairs)
-    if level != "ordinal":
-        return pairs, dv, None
-    order = np.argsort(dv, kind="stable")
-    ds = dv[order]
-    same = ds[1:] == ds[:-1]
-    tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
-    groups = np.cumsum(np.r_[True, ~same])[tied]
-    return pairs, dv, (order, tied, groups)
+
+    def __init__(self, delta, mask, level: str):
+        n = mask.shape[0]
+        rows, cols = np.triu_indices(n, 1)
+        sel = mask[rows, cols]
+        rows, cols = rows[sel], cols[sel]
+        self.tied = self.groups = None
+        if level == "ordinal":
+            dv = delta[rows, cols]
+            order = np.argsort(dv, kind="stable")
+            rows, cols = rows[order], cols[order]
+            same = dv[order[1:]] == dv[order[:-1]]
+            self.tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+            self.groups = np.cumsum(np.r_[True, ~same])[self.tied]
+        self.upper = rows * n + cols
+        self.lower = cols * n + rows
+        self.blocks = None
+        self.pairs = None
+
+    def take_pairs(self):
+        """The distances and unscaled disparities of the last call, as pair
+        vectors in one order; they are handed over once and not kept."""
+        pairs, self.pairs = self.pairs, None
+        return pairs
 
 
 def transform_disparities(delta, dist, level: str, mask, *, fixed=None) -> np.ndarray:
@@ -302,37 +418,44 @@ def transform_disparities(delta, dist, level: str, mask, *, fixed=None) -> np.nd
     for the requested measurement level over the pairs selected by ``mask``
     (symmetric boolean, diagonal False).  Ties in the ordinal case are
     untied: tied ``delta`` blocks are ordered by current distance.
-    ``fixed`` is ``_fixed_pairs(delta, mask, level)``, which :func:`mds`
-    computes once per fit; it is computed here when omitted.
+    ``fixed`` is ``_FitPairs(delta, mask, level)``, which :func:`mds`
+    builds once per fit and through which an ordinal fit starts from the
+    previous call's blocks; it is built afresh when omitted.
     """
-    pairs, dv, ranks = _fixed_pairs(delta, mask, level) if fixed is None else fixed
-    xv = dist.take(pairs)
+    fp = _FitPairs(delta, mask, level) if fixed is None else fixed
+    upper, lower = fp.upper, fp.lower
+    xv = dist.take(upper)
     if level == "ratio":
+        dv = delta.take(upper)
         denom = float((dv * dv).sum())
         b = float((dv * xv).sum()) / denom if denom > 0 else 0.0
         fitted = max(b, 0.0) * dv
     elif level == "interval":
+        dv = delta.take(upper)
         a, b = _fit_nonneg_affine(dv, xv)
         fitted = a + b * dv
     elif level == "ordinal":
-        # untie: re-sort each tie block by current distance, then by index,
-        # which is the order np.lexsort((xv, dv)) gives
-        order, tied, groups = ranks
-        if len(tied):
-            order = order.copy()
-            block = order[tied]
-            order[tied] = block[np.lexsort((xv[block], groups))]
-        fitted = np.empty_like(xv)
-        fitted[order] = _pool_adjacent_violators(xv[order], np.ones_like(xv))
-        fitted = np.maximum(fitted, 0.0)
+        if len(fp.tied):
+            # untie: re-sort each tie block by current distance, then by
+            # index, which is the order np.lexsort((xv, dv)) gives
+            tied = fp.tied
+            moved = tied[np.lexsort((xv[tied], fp.groups))]
+            xv[tied] = xv[moved]
+            upper, lower = upper.copy(), lower.copy()
+            upper[tied] = upper[moved]
+            lower[tied] = lower[moved]
+        fitted, fp.blocks = (_pool_adjacent_violators(xv, np.ones_like(xv)) if fp.blocks is None
+                             else _refit_isotonic(xv, fp.blocks))
+        np.maximum(fitted, 0.0, out=fitted)
     else:
         raise ValueError(f"unknown level {level!r}")
     if not np.any(fitted > 0):
-        fitted = dv.copy()
+        fitted = delta.take(upper)
+    fp.pairs = xv, fitted
     out = np.zeros(dist.size)
-    out[pairs] = fitted
-    out = out.reshape(dist.shape)
-    return out + out.T
+    out[upper] = fitted
+    out[lower] = fitted
+    return out.reshape(dist.shape)
 
 
 # the over-relaxation of the Guttman step; any value in [1, 2] keeps the
@@ -349,7 +472,8 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
     ``G = V+ B(X) X`` (``V`` the weighted Laplacian, ``V+`` its
     pseudo-inverse), whatever the weights, and moves to the over-relaxed
     point ``X = a G - (a - 1) X`` with ``a = RELAXATION``, after which
-    ``update(dist)``, when given, returns the targets for the new distances.
+    ``update(dist)``, when given, returns ``(WT, stress)`` for the new
+    distances: the new targets times ``W`` and their normalized stress.
     The majorizer at ``X`` is a quadratic with its minimum at ``G`` that
     takes the same value at ``X`` and at ``2 G - X``, so any ``a`` in
     [1, 2] cannot raise the stress (de Leeuw & Heiser 1980; Borg & Groenen
@@ -368,38 +492,37 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
     values, vectors = eigen_symmetric(V)
     inv = np.where(values > 1e-12 * max(values.max(), 1.0), 1.0 / np.where(values > 0, values, 1.0), 0.0)
     Vplus = (vectors * inv) @ vectors.T
+    # sum_w targets^2 over the full matrix counts every pair twice, which
+    # cancels in the stress ratio
+    WT0 = W * targets
+    norm0 = float(np.dot(WT0.ravel(), targets.ravel()))
     w = W.ravel()
 
-    def weigh(T):
-        # W * T, and sum_w T^2; full-matrix sums count every pair twice,
-        # which cancels in the stress ratio
-        WT = W * T
-        return WT, float(np.dot(WT.ravel(), T.ravel()))
-
-    def stress(T, dist, norm) -> float:
-        r = T - dist
+    def target_stress(dist) -> float:
+        r = targets - dist
         r *= r
-        return float(np.dot(w, r.ravel())) / norm
+        return float(np.dot(w, r.ravel())) / norm0
 
     def score(X):
         # the distances of X, the weighted targets that go with them, and the stress
-        dist = _distances(X)
+        dist = _distances(X, buffers)
         if update is None:
-            return dist, WT0, stress(targets, dist, norm0)
-        T = update(dist)
-        WT, norm = weigh(T)
-        return dist, WT, stress(T, dist, norm)
+            return dist, WT0, target_stress(dist)
+        return (dist, *update(dist))
 
+    # the distances, their scratch and B(X) reuse three n x n arrays: the
+    # distances of a point are dead once the next point's are taken
+    buffers = (np.empty_like(WT0), np.empty_like(WT0))
+    ratio = np.empty_like(WT0)
     X = X - X.mean(axis=0)
-    WT0, norm0 = weigh(targets)
-    WT, dist = WT0, _distances(X)
-    history = [stress(targets, dist, norm0)]
+    WT, dist = WT0, _distances(X, buffers)
+    history = [target_stress(dist)]
     converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         # B(X) X, with B(X)_ij = -W_ij T_ij / d_ij off the diagonal, 0 where d_ij = 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = WT / dist
+            np.divide(WT, dist, out=ratio)
         ratio[dist == 0] = 0.0
         BX = ratio.sum(axis=1)[:, None] * X - ratio @ X
         G = Vplus @ BX
@@ -446,14 +569,8 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
         warnings.warn(f"points without any observed dissimilarity: {unobserved}",
                       stacklevel=2)
     W = mask.astype(float)
-    fixed = _fixed_pairs(delta, mask, cfg.level)
-
     npairs = n * (n - 1) / 2.0
-
-    def normalize(dh: np.ndarray) -> np.ndarray:
-        return dh * np.sqrt(npairs / (float((W * dh * dh).sum()) / 2))
-
-    dhat = normalize(finite)
+    dhat = finite * np.sqrt(npairs / (float((W * finite * finite).sum()) / 2))
 
     if cfg.init == "classical":
         fill = float(delta[mask].mean())
@@ -471,9 +588,20 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
     if sxx > 0 and sxy > 0:
         X = X * (sxy / sxx)
 
-    # with the fixed normalization, ratio disparities never move
-    update = None if cfg.level == "ratio" else (
-        lambda dist: normalize(transform_disparities(delta, dist, cfg.level, mask, fixed=fixed)))
+    update = None
+    if cfg.level != "ratio":  # with the fixed normalization, ratio disparities never move
+        fixed = _FitPairs(delta, mask, cfg.level)
+
+        def update(dist):
+            # normalize the disparities and take their stress on the pair vectors
+            T = transform_disparities(delta, dist, cfg.level, mask, fixed=fixed)
+            xv, fitted = fixed.take_pairs()
+            scale = np.sqrt(npairs / float(np.dot(fitted, fitted)))
+            T *= scale
+            fitted *= scale
+            r = fitted - xv
+            return T, float(np.dot(r, r)) / float(np.dot(fitted, fitted))
+
     X, history, iterations, converged = _smacof(W, dhat, X, cfg.epsilon, cfg.max_iterations,
                                                 update)
     if not converged:

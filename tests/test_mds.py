@@ -27,7 +27,13 @@ from cocmap import (
     to_dissimilarity,
     transform_disparities,
 )
-from cocmap.mds import _distances, _fixed_pairs, _smacof
+from cocmap.mds import (
+    _FitPairs,
+    _distances,
+    _pool_adjacent_violators,
+    _refit_isotonic,
+    _smacof,
+)
 
 
 def brute_force_isotonic(values, weights=None):
@@ -222,6 +228,46 @@ def test_monotone_regression_blocks_are_weighted_means(data):
     for a, b in zip(starts, np.r_[starts[1:], n]):
         mean = float((wo[a:b] * yo[a:b]).sum() / wo[a:b].sum())
         assert abs(fitted[a] - mean) <= tol
+
+
+@st.composite
+def warm_start_cases(draw):
+    """A unit-weight sequence and a partition of it to start PAVA from."""
+    if draw(st.booleans()):
+        y = np.array(draw(st.lists(st.one_of(values_with_ties, st.just(0.0)),
+                                   min_size=1, max_size=60)))
+    else:  # the cascade, which pools everything into one block
+        y = np.r_[np.arange(draw(st.integers(1, 59)), dtype=float), -1e9]
+    n = len(y)
+    kind = draw(st.sampled_from(["cuts", "singletons", "one block", "perturbed fit"]))
+    if kind == "cuts":
+        cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+        first = np.flatnonzero(np.r_[True, cuts])
+    elif kind == "singletons":
+        first = np.arange(n)
+    elif kind == "one block":
+        first = np.array([0])
+    else:  # the blocks of a nearby sequence's fit, as the iteration before gives
+        seed = draw(st.integers(0, 2**32 - 1))
+        scale = draw(st.sampled_from([1e-9, 1e-3, 0.1, 1.0]))
+        noise = np.random.default_rng(seed).standard_normal(n)
+        near = y + scale * max(1.0, float(np.abs(y).max())) * noise
+        first = _pool_adjacent_violators(near, np.ones(n))[1]
+    return y, first
+
+
+@settings(max_examples=300, deadline=None)
+@given(warm_start_cases())
+def test_warm_started_fit_equals_the_cold_fit(case):
+    y, first = case
+    fitted, blocks = _refit_isotonic(y, first)
+    cold = monotone_regression(y)
+    assert np.abs(fitted - cold).max() <= 1e-12 * float(np.abs(y).max())
+    # the blocks returned are those of the fit: constant inside, rising across
+    assert blocks[0] == 0 and np.all(np.diff(blocks) > 0)
+    values = fitted[blocks]
+    assert np.all(np.diff(values) > 0)
+    assert np.array_equal(fitted, values.repeat(np.diff(np.r_[blocks, len(y)])))
 
 
 class TestClassicalInit:
@@ -547,7 +593,7 @@ class TestDisparities:
         iu = np.triu_indices(n, 1)
         assert len(np.unique(delta[iu])) < 12
         # one fixed part serves every iteration of a fit, as in mds()
-        fixed = _fixed_pairs(delta, mask, "ordinal")
+        fixed = _FitPairs(delta, mask, "ordinal")
         for _ in range(3):
             # points on a small grid, so distances tie inside delta ties too
             X = rng.integers(0, 4, size=(n, 2)).astype(float)
@@ -600,7 +646,10 @@ def reference_smacof(W, targets, X, epsilon, max_iterations, update=None, *,
 
     def score(X):
         dist = _distances(X)
-        T = targets if update is None else update(dist)
+        # update returns W * T and its stress; mds() gives weights 0 or 1 and
+        # targets 0 wherever the weight is, so W * T is T, whose stress is
+        # recomputed here over the full matrix
+        T = targets if update is None else update(dist)[0]
         WT, norm = weigh(T)
         return dist, WT, stress(T, dist, norm)
 
@@ -646,6 +695,28 @@ def test_unit_weights_match_the_former_one_over_n_update(monkeypatch, level, see
     scale = np.abs(reference.coords).max()
     assert np.abs(fit.coords - reference.coords).max() <= 1e-12 * scale
     assert fit.stress == pytest.approx(reference.stress, rel=1e-11)
+
+
+def test_warm_started_ordinal_fit_matches_cold_transforms(monkeypatch):
+    # 150 points planted in 3-D, each distance times exp(0.1 N(0, 1)): an
+    # ordinal fit whose isotonic regression starts from the blocks of the
+    # iteration before, against one that starts every regression from
+    # singletons
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((150, 3)) * (1.0, 0.8, 0.6)
+    noise = np.triu(rng.standard_normal((150, 150)), 1)
+    D = _distances(X) * np.exp(0.1 * (noise + noise.T))
+    P = ProximityMatrix(tuple(f"p{i}" for i in range(150)), D, kind="dissimilarity")
+    cfg = MdsConfig(dimensions=3, level="ordinal", init="random", seed=5, epsilon=1e-10)
+    warm = mds(P, cfg)
+    monkeypatch.setattr(importlib.import_module("cocmap.mds"), "_refit_isotonic",
+                        lambda y, first: _pool_adjacent_violators(y, np.ones_like(y)))
+    cold = mds(P, cfg)
+    assert warm.iterations_used == cold.iterations_used
+    assert warm.converged and cold.converged
+    scale = np.abs(cold.coords).max()
+    assert np.abs(warm.coords - cold.coords).max() <= 1e-12 * scale
+    assert warm.stress == pytest.approx(cold.stress, rel=1e-12)
 
 
 def test_last_iteration_keeps_a_plain_step_that_lands_on_the_optimum():

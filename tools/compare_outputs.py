@@ -9,9 +9,10 @@ Usage:
 with that tree on ``PYTHONPATH`` and one BLAS thread, writing to the same
 relative output directory, so report paths and printed messages match.
 The calls cover every subcommand, the three demos, a layout of small graphs
-with twin vertices and a two-vertex component, and the four benchmark
-workloads on the inputs ``perfbench/workloads.generate`` writes at a fixed
-seed; ``perfbench/`` is only read.
+with twin vertices and a two-vertex component, an ordinal fit over heavily
+tied proximities, and the four benchmark workloads on the inputs
+``perfbench/workloads.generate`` writes at a fixed seed; ``perfbench/`` is
+only read.
 
 A call's files are its output directory plus its exit code, stdout and
 stderr.  Before comparison the ``timestamp`` line is dropped from every
@@ -101,6 +102,9 @@ def calls(directory: Path) -> list[tuple[str, list[str]]]:
         ("layout-small-graphs", ["layout", "--in", str(small_graphs)]),
         ("pipeline-euclidean-mds", ["pipeline", "--in", records, "--steps",
                                     "euclidean,mds", "--level", "interval"]),
+        # an ordinal fit over heavily tied proximities: 7140 pairs, 2755 values
+        ("pipeline-jaccard-mds-ordinal", ["pipeline", "--in", records, "--steps",
+                                          "jaccard,mds", "--level", "ordinal"]),
         ("error-random-without-seed", ["mds", "--builtin", "cities", "--init", "random"]),
         ("error-missing-input", ["factor", "--in", str(directory / "no-such-file.txt")]),
         ("error-wrong-builtin", ["layout", "--builtin", "cities"]),
