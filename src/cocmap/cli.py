@@ -123,23 +123,15 @@ def _mds_config(args) -> MdsConfig:
     )
 
 
-def _diag_policy(args) -> str:
-    return "zeroed" if args.diag_policy == "zero" else "raw"
-
-
-def _n_factors(args):
-    return "auto" if args.factors is None else args.factors
-
-
-def _factor(A, args):
-    L = factor_mod.pca_from_occurrence(A, _n_factors(args))
-    if args.rotate == "varimax":
-        L = factor_mod.varimax(L, kaiser_normalize=args.kaiser)
+def _factor(A, s):
+    L = factor_mod.pca_from_occurrence(A, s["factors"])
+    if s["rotate"] == "varimax":
+        L = factor_mod.varimax(L, kaiser_normalize=s["kaiser"])
     return L
 
 
-def _layout(M, args):
-    graph = layout_mod.graph_from_cooccurrence(M, args.threshold)
+def _layout(M, s):
+    graph = layout_mod.graph_from_cooccurrence(M, s["threshold"])
     return graph, layout_mod.kamada_kawai(graph)
 
 
@@ -192,36 +184,44 @@ def _write_layout(value, out_dir: Path, stem: str):
 class Stage(NamedTuple):
     needs: str  # input kind; for the first stage of a run it picks the loader
     makes: str  # output kind
-    compute: Callable  # (value, args) -> value
+    compute: Callable  # (value, settings) -> value
     write: Callable  # (value, out_dir, stem) -> (output paths, results)
+    # args -> the options compute reads; they are all it is given, and the
+    # report's config records them
+    settings: Callable = lambda args: {}
 
 
 STAGES = {
     "cooccurrence": Stage("occurrence", "cooccurrence",
-                          lambda A, a: matrices.cooccurrence(A, _diag_policy(a)),
-                          _write_square),
+                          lambda A, s: matrices.cooccurrence(
+                              A, "zeroed" if s["diag"] == "zero" else "raw"),
+                          _write_square, lambda a: {"diag": a.diag_policy}),
     "affiliations": Stage("occurrence", "cooccurrence",
-                          lambda A, a: matrices.affiliations(A), _write_square),
+                          lambda A, s: matrices.affiliations(A), _write_square),
     "pearson": Stage("occurrence", "proximity",
-                     lambda A, a: proximity.pearson_columns(A), _write_square),
+                     lambda A, s: proximity.pearson_columns(A), _write_square),
     "shift": Stage("proximity", "proximity",
-                   lambda P, a: proximity.shift_pearson(P), _write_square),
+                   lambda P, s: proximity.shift_pearson(P), _write_square),
     "cosine": Stage("occurrence", "proximity",
-                    lambda A, a: proximity.cosine_columns(A), _write_square),
+                    lambda A, s: proximity.cosine_columns(A), _write_square),
     "jaccard": Stage("occurrence", "proximity",
-                     lambda A, a: proximity.jaccard_columns(A), _write_square),
+                     lambda A, s: proximity.jaccard_columns(A), _write_square),
     "euclidean": Stage("occurrence", "proximity",
-                       lambda A, a: proximity.euclidean_columns(A), _write_square),
+                       lambda A, s: proximity.euclidean_columns(A), _write_square),
     "to-dissimilarity": Stage("proximity", "proximity",
-                              lambda P, a: proximity.to_dissimilarity(P), _write_square),
+                              lambda P, s: proximity.to_dissimilarity(P), _write_square),
     "mds": Stage("proximity", "configuration",
-                 lambda P, a: mds(P, _mds_config(a)), _write_configuration),
-    "factor": Stage("occurrence", "loadings", _factor, _write_loadings),
-    "layout": Stage("cooccurrence", "layout", _layout, _write_layout),
+                 lambda P, s: mds(P, MdsConfig(**s)), _write_configuration,
+                 lambda a: dataclasses.asdict(_mds_config(a))),
+    "factor": Stage("occurrence", "loadings", _factor, _write_loadings,
+                    lambda a: {"factors": "auto" if a.factors is None else a.factors,
+                               "rotate": a.rotate, "kaiser": a.kaiser}),
+    "layout": Stage("cooccurrence", "layout", _layout, _write_layout,
+                    lambda a: {"threshold": a.threshold}),
 }
 
 # `build --derive occurrence` writes the loaded matrix unchanged (not a pipeline step)
-_UNCHANGED = Stage("occurrence", "occurrence", lambda A, a: A, _write_rectangular)
+_UNCHANGED = Stage("occurrence", "occurrence", lambda A, s: A, _write_rectangular)
 
 LOADERS = {
     "occurrence": _load_occurrence,
@@ -230,15 +230,16 @@ LOADERS = {
 }
 
 
-def _run(args, command: str, steps: list[tuple[str, Stage]], config: Callable):
+def _run(args, command: str, steps: list[tuple[str, Stage]], own: Callable = lambda _: {}):
     """Validate, load, compute and write one run; returns (value, report).
 
     ``pipeline`` starts from an occurrence matrix and writes every step's
     artifacts under the step's name.  A subcommand loads what its first
     stage needs and writes only the last stage's artifacts, under the first
     step's name (``prox --shift`` writes ``pearson.csv``).  The whole chain
-    is checked before any input is read.  ``config(loaded input)`` gives the
-    report's ``config``.
+    and every step's settings are checked before any input is read.  The
+    report's ``config`` is ``own(loaded input)``, the command's own
+    choices, plus the settings of every step.
     """
     pipeline = command == "pipeline"
     source = "occurrence" if pipeline else steps[0][1].needs
@@ -249,13 +250,17 @@ def _run(args, command: str, steps: list[tuple[str, Stage]], config: Callable):
                 f"step {name!r} needs {stage.needs} input but would receive {current}"
             )
         current = stage.makes
+    settings = [stage.settings(args) for _, stage in steps]
     value, digest = LOADERS[source](args)
-    report = {"command": command, "config": config(value), "inputs": {"sha256": digest}}
+    config = own(value)
+    for s in settings:
+        config.update(s)
+    report = {"command": command, "config": config, "inputs": {"sha256": digest}}
     out_dir = Path(args.out)
     outputs: list[str] = []
     results: dict = {}
-    for k, (name, stage) in enumerate(steps):
-        value = stage.compute(value, args)
+    for k, ((name, stage), s) in enumerate(zip(steps, settings)):
+        value = stage.compute(value, s)
         if pipeline or k == len(steps) - 1:
             paths, found = stage.write(value, out_dir, name if pipeline else steps[0][0])
             outputs += paths
@@ -273,8 +278,7 @@ def _run(args, command: str, steps: list[tuple[str, Stage]], config: Callable):
 
 def _cmd_build(args) -> int:
     stage = _UNCHANGED if args.derive == "occurrence" else STAGES[args.derive]
-    _, report = _run(args, "build", [(args.derive, stage)],
-                     lambda _: {"derive": args.derive, "diag": args.diag_policy})
+    _, report = _run(args, "build", [(args.derive, stage)], lambda _: {"derive": args.derive})
     print(f"wrote {report['outputs'][0]}")
     return 0
 
@@ -293,25 +297,21 @@ def _cmd_prox(args) -> int:
 
 
 def _cmd_mds(args) -> int:
-    result, _ = _run(args, "mds", [("mds", STAGES["mds"])],
-                     lambda P: {**dataclasses.asdict(_mds_config(args)), "kind": P.kind})
+    result, _ = _run(args, "mds", [("mds", STAGES["mds"])], lambda P: {"kind": P.kind})
     print(f"normalized raw stress: {result.stress:.6f} "
           f"({result.iterations_used} iterations)")
     return 0
 
 
 def _cmd_factor(args) -> int:
-    _run(args, "factor", [("factor", STAGES["factor"])],
-         lambda _: {"factors": _n_factors(args), "rotate": args.rotate,
-                    "kaiser": args.kaiser})
+    _run(args, "factor", [("factor", STAGES["factor"])])
     # the table rendered once, as written to loadings.txt
     print((Path(args.out) / "loadings.txt").read_bytes().decode("utf-8"), end="")
     return 0
 
 
 def _cmd_layout(args) -> int:
-    _, report = _run(args, "layout", [("layout", STAGES["layout"])],
-                     lambda _: {"threshold": args.threshold})
+    _, report = _run(args, "layout", [("layout", STAGES["layout"])])
     print(f"energy {report['results']['final_energy']:.6f} "
           f"after {report['results']['iterations']} iterations")
     return 0
@@ -324,9 +324,7 @@ def _cmd_pipeline(args) -> int:
     for s in steps:
         if s not in STAGES:
             raise UsageError(f"unknown step {s!r}; choose from {sorted(STAGES)}")
-    _run(args, "pipeline", [(s, STAGES[s]) for s in steps],
-         lambda _: {"steps": steps, "level": args.level, "dims": args.dims,
-                    "diag": args.diag_policy, "threshold": args.threshold})
+    _run(args, "pipeline", [(s, STAGES[s]) for s in steps], lambda _: {"steps": steps})
     print(f"pipeline complete: {', '.join(steps)}")
     return 0
 

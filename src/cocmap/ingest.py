@@ -82,7 +82,7 @@ def builtin_dataset(name: str):
                 d[i, j] = d[j, i] = v
         return ProximityMatrix(_CITY_LABELS, d, kind="dissimilarity")
     if name == "figure1":
-        return CooccurrenceMatrix(_FIGURE1_LABELS, np.array(_FIGURE1_COUNTS), "zeroed")
+        return CooccurrenceMatrix(_FIGURE1_LABELS, np.array(_FIGURE1_COUNTS))
     if name == "figure2":
         return OccurrenceMatrix(_FIGURE2_ROWS, _FIGURE2_COLS, np.array(_FIGURE2_CELLS))
     raise UnknownDataset(f"no bundled dataset named {name!r}")
@@ -198,12 +198,14 @@ def serialize_records(A: OccurrenceMatrix) -> str:
 # labeled matrices (CSV)
 # ---------------------------------------------------------------------------
 
-def _read_csv_rows(text: str) -> list[list[str]]:
+def _read_csv_rows(text: str) -> tuple[list[list[str]], list[int]]:
+    """The non-empty rows of a CSV text, and the line number each one ends on."""
     reader = csv.reader(io.StringIO(text))
     try:
-        return [row for row in reader if row]
+        numbered = [(row, reader.line_num) for row in reader if row]
     except csv.Error as exc:
         raise MalformedLine(reader.line_num, str(exc)) from None
+    return [row for row, _ in numbered], [line for _, line in numbered]
 
 
 def _check_csv_labels(labels) -> None:
@@ -221,8 +223,10 @@ def parse_square_matrix(text: str, kind: str):
     ``"counts"`` yields a :class:`CooccurrenceMatrix`.  Blank or ``.`` cells
     are mirrored from the transposed cell, so lower-triangular input is
     accepted; if both triangles are present they must agree within 1e-9.
+    A count cell that is not an integer below 2**63, or one blank in both
+    triangles, raises :class:`MalformedLine` naming its line and column.
     """
-    table = _read_csv_rows(text)
+    table, lines = _read_csv_rows(text)
     if not table:
         raise MalformedLine(0, "empty matrix file")
     header = [h.strip() for h in table[0][1:]]
@@ -238,7 +242,7 @@ def parse_square_matrix(text: str, kind: str):
     for i, row in enumerate(table[1:]):
         cells = row[1:]
         if len(cells) > n:
-            raise MalformedLine(i + 2, "more cells than header columns")
+            raise MalformedLine(lines[i + 1], "more cells than header columns")
         try:  # a whole row at a time: float() strips the cells itself
             raw[i, :len(cells)] = list(map(float, cells))
         except ValueError:  # a blank or "." cell to mirror, or a bad number
@@ -249,7 +253,7 @@ def parse_square_matrix(text: str, kind: str):
                 try:
                     raw[i, j] = float(cell)
                 except ValueError:
-                    raise MalformedLine(i + 2, f"invalid number {cell!r}") from None
+                    raise MalformedLine(lines[i + 1], f"invalid number {cell!r}") from None
     missing = np.isnan(raw)
     with np.errstate(invalid="ignore"):
         conflict = np.triu(~missing & ~missing.T & (np.abs(raw - raw.T) > 1e-9), 1)
@@ -260,13 +264,15 @@ def parse_square_matrix(text: str, kind: str):
     diag = np.diagonal(data)
     np.fill_diagonal(data, np.where(np.isnan(diag), 1.0 if kind == "similarity" else 0.0, diag))
     if kind == "counts":
-        if np.any(np.isnan(data)):
-            raise MalformedLine(0, "count matrix has unresolved missing cells")
-        counts = data.astype(np.int64)
-        if np.any(counts != data):
-            raise MalformedLine(0, "count matrix entries must be integers")
-        policy = "zeroed" if not counts.diagonal().any() else "raw"
-        return CooccurrenceMatrix(tuple(header), counts, policy)
+        # the first offending cell in file order, named by its line and column
+        whole = np.isfinite(raw) & (raw == np.floor(raw)) & (np.abs(raw) < 2.0**63)
+        for bad, message in ((~missing & ~whole, "must be an integer below 2**63, not {}"),
+                             (np.isnan(data), "is blank in both triangles")):
+            if bad.any():
+                i, j = (int(k) for k in np.argwhere(bad)[0])
+                raise MalformedLine(lines[i + 1], f"count cell {header[j]!r} "
+                                    + message.format(repr(float(raw[i, j]))))
+        return CooccurrenceMatrix(tuple(header), data.astype(np.int64))
     if kind not in ("similarity", "dissimilarity"):
         raise ValueError(f"unknown square-matrix kind {kind!r}")
     # average residual float noise so the symmetry invariant holds exactly
@@ -312,22 +318,22 @@ def serialize_square_matrix(M) -> str:
 
 def parse_rectangular_matrix(text: str) -> OccurrenceMatrix:
     """Parse a labeled rectangular CSV count matrix (documents x attributes)."""
-    table = _read_csv_rows(text)
+    table, lines = _read_csv_rows(text)
     if not table:
         raise MalformedLine(0, "empty matrix file")
     cols = tuple(h.strip() for h in table[0][1:])
     rows = []
     data = []
-    for i, row in enumerate(table[1:], start=2):
+    for line_no, row in zip(lines[1:], table[1:]):
         if len(row) != len(cols) + 1:
-            raise MalformedLine(i, f"expected {len(cols) + 1} cells, found {len(row)}")
+            raise MalformedLine(line_no, f"expected {len(cols) + 1} cells, found {len(row)}")
         rows.append(row[0].strip())
         try:
             values = [int(cell.strip()) for cell in row[1:]]
         except ValueError:
-            raise MalformedLine(i, "count cells must be integers") from None
+            raise MalformedLine(line_no, "count cells must be integers") from None
         if any(v < 0 for v in values):
-            raise NegativeCount(f"line {i}: negative count")
+            raise NegativeCount(f"line {line_no}: negative count")
         data.append(values)
     return OccurrenceMatrix(tuple(rows), cols, np.array(data, dtype=np.int64))
 

@@ -94,24 +94,19 @@ class OccurrenceMatrix:
 
 @dataclass(frozen=True, eq=False)
 class CooccurrenceMatrix:
-    """Symmetric attributes x attributes count matrix."""
+    """Symmetric attributes x attributes count matrix; its diagonal is the data's."""
 
     labels: tuple[str, ...]
     data: np.ndarray
-    diagonal_policy: str = "raw"
 
     def __post_init__(self):
         object.__setattr__(self, "labels", _as_labels(self.labels, "attribute"))
-        if self.diagonal_policy not in DIAGONAL_POLICIES:
-            raise ValueError(f"unknown diagonal policy {self.diagonal_policy!r}")
         data = _as_count_array(self.data)
         n = len(self.labels)
         if data.shape != (n, n):
             raise ValueError(f"data shape {data.shape} does not match {n} labels")
         if not np.array_equal(data, data.T):
             raise ValueError("co-occurrence matrix must be exactly symmetric")
-        if self.diagonal_policy == "zeroed" and np.any(np.diagonal(data) != 0):
-            raise ValueError("zeroed diagonal policy requires a zero diagonal")
         object.__setattr__(self, "data", _freeze(data))
 
     @property
@@ -182,19 +177,17 @@ def count_product(data, labels) -> np.ndarray:
     if bound < FLOAT_EXACT_MAX:
         f = data.astype(np.float64)
         return (f.T @ f).astype(np.int64)
-    exact = [[int(v) for v in row] for row in data]
+    exact = np.frompyfunc(int, 1, 1)(data)
     n = data.shape[1]
     out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(i, n):
-            s = sum(row[i] * row[j] for row in exact)
-            if s > U64_MAX:
-                raise CountOverflow(
-                    f"count for ({labels[i]!r}, {labels[j]!r}) "
-                    f"exceeds the unsigned 64-bit range"
-                )
-            out[i, j] = s
-            out[j, i] = s
+    for i in range(n):  # row i of the upper triangle, mirrored
+        out[i, i:] = out[i:, i] = exact[:, i] @ exact[:, i:]
+    over = np.argwhere(np.triu(out > U64_MAX))
+    if len(over):
+        i, j = over[0]  # the first pair in row-major order
+        raise CountOverflow(
+            f"count for ({labels[i]!r}, {labels[j]!r}) exceeds the unsigned 64-bit range"
+        )
     return out
 
 
@@ -211,7 +204,7 @@ def cooccurrence(A: OccurrenceMatrix, diagonal_policy: str = "raw") -> Cooccurre
     counts = count_product(np.asarray(A.data) > 0, A.cols)
     if diagonal_policy == "zeroed":
         np.fill_diagonal(counts, 0)
-    return CooccurrenceMatrix(A.cols, counts, diagonal_policy)
+    return CooccurrenceMatrix(A.cols, counts)
 
 
 def affiliations(A: OccurrenceMatrix) -> CooccurrenceMatrix:
@@ -223,10 +216,9 @@ def affiliations(A: OccurrenceMatrix) -> CooccurrenceMatrix:
     co-occurrence count contributes one.  Raises :class:`CountOverflow`
     rather than wrapping if an entry exceeds the unsigned 64-bit range.
     """
-    return CooccurrenceMatrix(A.cols, count_product(A.data, A.cols), "raw")
+    return CooccurrenceMatrix(A.cols, count_product(A.data, A.cols))
 
 
 def binarize(M: CooccurrenceMatrix) -> CooccurrenceMatrix:
-    """Reduce all counts to 0/1 indicators, preserving the diagonal policy."""
-    data = (np.asarray(M.data) > 0).astype(np.int64)
-    return CooccurrenceMatrix(M.labels, data, M.diagonal_policy)
+    """Reduce all counts to 0/1 indicators; a zero diagonal stays zero."""
+    return CooccurrenceMatrix(M.labels, (np.asarray(M.data) > 0).astype(np.int64))

@@ -290,9 +290,7 @@ def classical_init(D, k: int) -> np.ndarray:
         raise DimensionTooLarge(f"cannot embed {n} points in {k} dimensions")
     D2 = D**2
     J = np.eye(n) - np.ones((n, n)) / n
-    B = -0.5 * (J @ D2 @ J)
-    B = (B + B.T) / 2.0
-    values, vectors = eigen_symmetric(B)
+    values, vectors = eigen_symmetric(-0.5 * (J @ D2 @ J))
     coords = vectors[:, :k] * np.sqrt(np.maximum(values[:k], 0.0))
     return coords - coords.mean(axis=0)
 
@@ -382,7 +380,7 @@ class _FitPairs:
     distances and unscaled disparities in one pair order for
     :meth:`take_pairs` and, at the ordinal level, keeps in ``blocks`` the
     block starts of its isotonic fit, from which the next call's fit
-    starts.
+    starts; the first call starts from singletons.
     """
 
     def __init__(self, delta, mask, level: str):
@@ -400,7 +398,7 @@ class _FitPairs:
             self.groups = np.cumsum(np.r_[True, ~same])[self.tied]
         self.upper = rows * n + cols
         self.lower = cols * n + rows
-        self.blocks = None
+        self.blocks = np.arange(len(rows))
         self.pairs = None
 
     def take_pairs(self):
@@ -444,8 +442,7 @@ def transform_disparities(delta, dist, level: str, mask, *, fixed=None) -> np.nd
             upper, lower = upper.copy(), lower.copy()
             upper[tied] = upper[moved]
             lower[tied] = lower[moved]
-        fitted, fp.blocks = (_pool_adjacent_violators(xv, np.ones_like(xv)) if fp.blocks is None
-                             else _refit_isotonic(xv, fp.blocks))
+        fitted, fp.blocks = _refit_isotonic(xv, fp.blocks)
         np.maximum(fitted, 0.0, out=fitted)
     else:
         raise ValueError(f"unknown level {level!r}")

@@ -493,3 +493,92 @@ def test_cities_demo_files_and_report(tmp_path, name, stem, extra):
         assert run(["demo", "cities-correct", "--out", str(direct)]) == 0
         correct = read_report(direct, "demo_cities_correct")["results"]["stress"]
         assert report["results"]["direct_stress"] == correct
+
+
+# (argv without --out, files to write first, exit code, exact stderr)
+CLI_OUTCOMES = {
+    "factor-on-proximity": (["factor", "--builtin", "cities"], {}, 1,
+                            "error: cocmap.CocmapError: builtin 'cities' is not an "
+                            "occurrence matrix\n"),
+    "mds-on-occurrence": (["mds", "--builtin", "figure2"], {}, 1,
+                          "error: cocmap.CocmapError: builtin 'figure2' is not a "
+                          "proximity matrix\n"),
+    "layout-on-occurrence": (["layout", "--builtin", "figure2"], {}, 1,
+                             "error: cocmap.CocmapError: builtin 'figure2' is not a "
+                             "co-occurrence matrix\n"),
+    "layout-infinite-count": (["layout", "--in", "counts.csv"],
+                              {"counts.csv": ",a,b\na,0,\nb,1e400,0\n"}, 1,
+                              "error: ingest.MalformedLine: line 3: count cell 'a' "
+                              "must be an integer below 2**63, not inf\n"),
+    "pipeline-no-step": (["pipeline", "--builtin", "figure2", "--steps", ","], {}, 2,
+                         "usage error: pipeline needs at least one step\n"),
+    "mds-cities-as-similarity": (["mds", "--builtin", "cities", "--kind", "sim"], {}, 0, ""),
+    "build-occurrence": (["build", "--builtin", "figure2", "--derive", "occurrence"], {},
+                         0, ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_OUTCOMES))
+def test_cli_outcome(tmp_path, capsys, monkeypatch, case):
+    argv, files, code, stderr = CLI_OUTCOMES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--out", "out"]) == code
+    assert capsys.readouterr().err == stderr
+
+
+def pipeline_config(tmp_path, *argv):
+    out = tmp_path / "out"
+    assert run(["pipeline", "--builtin", "figure2", *argv, "--out", str(out)]) == 0
+    return read_report(out, "pipeline")
+
+
+class TestReportConfig:
+    """A report's config is the command's own choices plus the settings of its steps."""
+
+    def test_pipeline_records_the_mds_settings_it_ran_with(self, tmp_path):
+        from dataclasses import asdict
+
+        from cocmap import MdsConfig
+
+        steps = ["pearson", "shift", "mds"]
+        fits = {}
+        for epsilon in (1e-6, 1e-2):
+            report = pipeline_config(tmp_path / str(epsilon), "--steps", ",".join(steps),
+                                     "--init", "random", "--seed", "5", "--max-iter", "50",
+                                     "--epsilon", str(epsilon))
+            assert report["config"] == {"steps": steps, **asdict(MdsConfig(
+                init="random", seed=5, max_iterations=50, epsilon=epsilon))}
+            fits[epsilon] = report["results"]["iterations"]
+        assert fits[1e-6] > fits[1e-2]
+
+    def test_pipeline_records_the_factor_settings_only(self, tmp_path):
+        report = pipeline_config(tmp_path, "--steps", "factor", "--factors", "2",
+                                 "--rotate", "none")
+        assert report["config"] == {"steps": ["factor"], "factors": 2, "rotate": "none",
+                                    "kaiser": True}
+
+    def test_pipeline_records_the_settings_of_every_step(self, tmp_path):
+        report = pipeline_config(tmp_path, "--steps", "cooccurrence,layout", "--diag", "zero",
+                                 "--threshold", "2", "--level", "ordinal")
+        assert report["config"] == {"steps": ["cooccurrence", "layout"], "diag": "zero",
+                                    "threshold": 2}
+
+    @pytest.mark.parametrize("derive, config", [
+        ("occurrence", {"derive": "occurrence"}),
+        ("affiliations", {"derive": "affiliations"}),
+        ("cooccurrence", {"derive": "cooccurrence", "diag": "zero"}),
+    ])
+    def test_build_records_diag_only_where_it_is_read(self, tmp_path, derive, config):
+        out = tmp_path / "out"
+        assert run(["build", "--builtin", "figure2", "--derive", derive, "--diag", "zero",
+                    "--out", str(out)]) == 0
+        assert read_report(out, "build")["config"] == config
+
+    def test_bad_setting_fails_before_any_file_is_written(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["pipeline", "--builtin", "figure2", "--steps", "pearson,shift,mds",
+                    "--dims", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: dimensions must be >= 1\n"
+        assert not out.exists()

@@ -236,7 +236,7 @@ class TestBuiltinDatasets:
         i = {lab: k for k, lab in enumerate(M.labels)}
         assert M.data[i["Paper 2"], i["Paper 3"]] == 30
         assert M.data[i["Paper 1"], i["Paper 3"]] == 20
-        assert M.diagonal_policy == "zeroed"
+        assert not np.diagonal(M.data).any()
 
     def test_figure2_is_binary(self):
         A = builtin_dataset("figure2")
@@ -440,3 +440,54 @@ def test_rectangular_csv_matches_the_per_cell_reference(data):
     A = OccurrenceMatrix(tuple(f"d,{i}" for i in range(data.shape[0])),
                          tuple(f'a"{j}' for j in range(data.shape[1])), data)
     assert serialize_rectangular_matrix(A) == per_cell_rectangular_csv(A)
+
+
+def _square(text):
+    return parse_square_matrix(text, "dissimilarity")
+
+
+def _counts(text):
+    return parse_square_matrix(text, "counts")
+
+
+# every named error of the parsers: (parser, input text, error, exact message)
+PARSE_ERRORS = {
+    "records-empty-doc-id": (parse_records, "\tA\n", MalformedLine,
+                             "line 1: empty document id"),
+    "records-empty-label": (parse_records, "d1\tA;:3\n", MalformedLine,
+                            "line 1: empty attribute label"),
+    "records-none": (parse_records, "# a comment\n\n", MalformedLine,
+                     "line 0: no record lines found"),
+    "square-empty": (_square, "", MalformedLine, "line 0: empty matrix file"),
+    "square-row-count": (_square, ",a,b\na,0,1\n", MalformedLine,
+                         "line 0: expected 2 data rows, found 1"),
+    "square-extra-cell": (_square, ",a,b\na,0,1,2\nb,1,0\n", MalformedLine,
+                          "line 2: more cells than header columns"),
+    "square-bad-number": (_square, ",a,b\na,0,\nb,x,0\n", MalformedLine,
+                          "line 3: invalid number 'x'"),
+    "counts-infinite": (_counts, ",a,b\na,0,\nb,1e400,0\n", MalformedLine,
+                        "line 3: count cell 'a' must be an integer below 2**63, not inf"),
+    "counts-fraction": (_counts, ",a,b\na,0,1.5\nb,,0\n", MalformedLine,
+                        "line 2: count cell 'b' must be an integer below 2**63, not 1.5"),
+    "counts-unresolved": (_counts, ",a,b,c\na,0,,\nb,,0,\nc,1,1,0\n", MalformedLine,
+                          "line 2: count cell 'b' is blank in both triangles"),
+    "counts-after-blank-line": (_counts, ",a,b\n\na,0,\nb,1.5,0\n", MalformedLine,
+                                "line 4: count cell 'a' must be an integer below 2**63, not 1.5"),
+    "matrix-cell-count": (parse_rectangular_matrix, ",a,b\nd1,1\n", MalformedLine,
+                          "line 2: expected 3 cells, found 2"),
+    "matrix-not-integer": (parse_rectangular_matrix, ",a,b\nd1,1,x\n", MalformedLine,
+                           "line 2: count cells must be integers"),
+    "matrix-after-blank-line": (parse_rectangular_matrix, ",a,b\r\n\r\nd1,1,x\r\n",
+                                MalformedLine, "line 3: count cells must be integers"),
+    "matrix-negative": (parse_rectangular_matrix, ",a,b\nd1,1,-2\n", NegativeCount,
+                        "line 2: negative count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_is_named(case):
+    parse, text, error, message = PARSE_ERRORS[case]
+    with pytest.raises(error) as err:
+        parse(text)
+    assert str(err.value) == message
+    assert err.value.qualified_name == f"ingest.{error.__name__}"

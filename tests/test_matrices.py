@@ -74,10 +74,6 @@ class TestCooccurrenceMatrix:
         with pytest.raises(ValueError):
             CooccurrenceMatrix(("A", "B"), [[0, 1], [2, 0]])
 
-    def test_zeroed_policy_requires_zero_diagonal(self):
-        with pytest.raises(ValueError):
-            CooccurrenceMatrix(("A", "B"), [[1, 2], [2, 0]], "zeroed")
-
 
 class TestProximityMatrix:
     def test_rejects_asymmetry_beyond_tolerance(self):
@@ -130,7 +126,8 @@ class TestCooccurrence:
         A = builtin_dataset("figure2")
         C = cooccurrence(A, "zeroed")
         assert not np.diagonal(C.data).any()
-        assert C.diagonal_policy == "zeroed"
+        raw = np.asarray(cooccurrence(A, "raw").data)
+        assert np.array_equal(np.asarray(C.data), raw - np.diag(np.diagonal(raw)))
 
     def test_matches_oracle_on_random_binary_matrices(self):
         rng = np.random.default_rng(42)
@@ -170,7 +167,6 @@ def test_cooccurrence_matches_a_set_count_oracle(data, policy):
     expected = [[len(s & t) if i != j or policy == "raw" else 0 for j, t in enumerate(cited_by)]
                 for i, s in enumerate(cited_by)]
     C = cooccurrence(A, policy)
-    assert C.diagonal_policy == policy
     assert np.array_equal(np.asarray(C.data), np.array(expected))
 
 
@@ -233,6 +229,12 @@ class TestAffiliations:
             ("d1", "d2"), ("a", "b"), np.array([[big, big], [big, big]], dtype=object)
         )
         with pytest.raises(CountOverflow):
+            affiliations(A)
+
+    def test_overflow_names_the_first_pair_in_row_major_order(self):
+        # (a, c) = 2^65 and (b, b) = 2^66 overflow; (a, a) and (a, b) fit
+        A = OccurrenceMatrix(("d1",), ("a", "b", "c"), np.array([[2**30, 2**33, 2**35]]))
+        with pytest.raises(CountOverflow, match=r"count for \('a', 'c'\)"):
             affiliations(A)
 
     def test_values_beyond_int64_still_exact(self):
@@ -301,7 +303,7 @@ class TestBinarize:
         B = binarize(M)
         off = ~np.eye(4, dtype=bool)
         assert np.all(np.asarray(B.data)[off] == 1)
-        assert B.diagonal_policy == "zeroed"
+        assert not np.diagonal(B.data).any()
 
     def test_zero_matrix_unchanged(self):
         M = CooccurrenceMatrix(("a", "b"), [[0, 0], [0, 0]])

@@ -759,3 +759,28 @@ def test_relaxed_step_needs_fewer_iterations_than_the_plain_step(seed):
     assert converged and plain_converged
     assert plain_iterations >= 1.25 * iterations
     assert history[-1] <= plain_history[-1] * (1 + 1e-3)
+
+
+def _unknown_level():
+    delta = np.array([[0.0, 1.0], [1.0, 0.0]])
+    transform_disparities(delta, delta, "nominal", delta > 0)
+
+
+# the library's own checks of its settings: (call, exact ValueError message)
+SETTING_ERRORS = {
+    "dimensions": (lambda: MdsConfig(dimensions=0), "dimensions must be >= 1"),
+    "level": (lambda: MdsConfig(level="nominal"), "unknown level 'nominal'"),
+    "init": (lambda: MdsConfig(init="spiral"), "unknown init 'spiral'"),
+    "seed": (lambda: MdsConfig(init="random"), "random init requires an explicit seed"),
+    "max-iterations": (lambda: MdsConfig(max_iterations=0), "max_iterations must be >= 1"),
+    "epsilon": (lambda: MdsConfig(epsilon=0.0), "epsilon must be positive"),
+    "disparity-level": (_unknown_level, "unknown level 'nominal'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SETTING_ERRORS))
+def test_bad_setting_is_refused(case):
+    call, message = SETTING_ERRORS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -10,7 +10,8 @@ with that tree on ``PYTHONPATH`` and one BLAS thread, writing to the same
 relative output directory, so report paths and printed messages match.
 The calls cover every subcommand, the three demos, a layout of small graphs
 with twin vertices and a two-vertex component, an ordinal fit over heavily
-tied proximities, and the four benchmark workloads on the inputs
+tied proximities, pipelines whose reports record every scaling and factor
+setting, and the four benchmark workloads on the inputs
 ``perfbench/workloads.generate`` writes at a fixed seed; ``perfbench/`` is
 only read.
 
@@ -105,6 +106,11 @@ def calls(directory: Path) -> list[tuple[str, list[str]]]:
         # an ordinal fit over heavily tied proximities: 7140 pairs, 2755 values
         ("pipeline-jaccard-mds-ordinal", ["pipeline", "--in", records, "--steps",
                                           "jaccard,mds", "--level", "ordinal"]),
+        # every stage setting a pipeline report records: a dropped one shows in the diff
+        ("pipeline-mds-settings", ["pipeline", "--in", records, "--steps", "pearson,shift,mds",
+                                   "--init", "random", "--seed", "3", "--epsilon", "1e-4"]),
+        ("pipeline-factor-settings", ["pipeline", "--in", records, "--steps", "factor",
+                                      "--factors", "3", "--rotate", "none"]),
         ("error-random-without-seed", ["mds", "--builtin", "cities", "--init", "random"]),
         ("error-missing-input", ["factor", "--in", str(directory / "no-such-file.txt")]),
         ("error-wrong-builtin", ["layout", "--builtin", "cities"]),
