@@ -124,9 +124,13 @@ class DuplicateDocId(CocmapError):
 
 
 class NegativeCount(CocmapError):
-    """A record carries a negative occurrence count."""
+    """An input line carries a negative occurrence count."""
 
     module = "ingest"
+
+    def __init__(self, line_no: int, reason: str):
+        super().__init__(f"line {line_no}: {reason}")
+        self.line_no = line_no
 
 
 class AsymmetricInput(CocmapError):

@@ -132,7 +132,7 @@ def pca_from_correlation(R, labels=None, n_factors="auto") -> LoadingsMatrix:
         if not 1 <= m <= p:
             raise ValueError(f"n_factors must be in [1, {p}]")
     clipped = np.maximum(values[:m], 0.0)
-    loadings = _fix_column_signs(vectors[:, :m] * np.sqrt(clipped))
+    loadings = vectors[:, :m] * np.sqrt(clipped)  # a scale >= 0 keeps eigen_symmetric's signs
     pct = tuple(100.0 * v / p for v in clipped)
     return LoadingsMatrix(tuple(labels), loadings, tuple(values), pct)
 

@@ -29,7 +29,8 @@ from .errors import (
     NegativeCount,
     UnknownDataset,
 )
-from .matrices import CooccurrenceMatrix, OccurrenceMatrix, ProximityMatrix
+from .matrices import (FLOAT_EXACT_MAX, SYMMETRY_TOL, CooccurrenceMatrix, OccurrenceMatrix,
+                       ProximityMatrix)
 
 # Flying mileages between 10 American cities (lower triangle, row by row).
 _CITY_LABELS = (
@@ -132,9 +133,7 @@ def parse_records(text: str) -> OccurrenceMatrix:
                         line_no, f"invalid count {count_text.strip()!r}"
                     ) from None
                 if count < 0:
-                    raise NegativeCount(
-                        f"line {line_no}: negative count for {label!r}"
-                    )
+                    raise NegativeCount(line_no, f"negative count for {label!r}")
             else:
                 label, count = item, 1
             if not label:
@@ -222,9 +221,11 @@ def parse_square_matrix(text: str, kind: str):
     yield a :class:`ProximityMatrix` of that kind, while
     ``"counts"`` yields a :class:`CooccurrenceMatrix`.  Blank or ``.`` cells
     are mirrored from the transposed cell, so lower-triangular input is
-    accepted; if both triangles are present they must agree within 1e-9.
-    A count cell that is not an integer below 2**63, or one blank in both
-    triangles, raises :class:`MalformedLine` naming its line and column.
+    accepted; if both triangles are present they must agree within 1e-12,
+    the tolerance of :class:`ProximityMatrix`, which stores their mean.  A
+    count cell that is not an integer below 2**53 (the range float64 reads
+    exactly), or one blank in both triangles, raises :class:`MalformedLine`
+    naming its line and column; a negative one raises :class:`NegativeCount`.
     """
     table, lines = _read_csv_rows(text)
     if not table:
@@ -256,7 +257,7 @@ def parse_square_matrix(text: str, kind: str):
                     raise MalformedLine(lines[i + 1], f"invalid number {cell!r}") from None
     missing = np.isnan(raw)
     with np.errstate(invalid="ignore"):
-        conflict = np.triu(~missing & ~missing.T & (np.abs(raw - raw.T) > 1e-9), 1)
+        conflict = np.triu(~missing & ~missing.T & (np.abs(raw - raw.T) > SYMMETRY_TOL), 1)
     if conflict.any():
         i, j = (int(k) for k in np.argwhere(conflict)[0])  # first in row-major order
         raise AsymmetricInput(i, j, abs(raw[i, j] - raw[j, i]))
@@ -265,19 +266,19 @@ def parse_square_matrix(text: str, kind: str):
     np.fill_diagonal(data, np.where(np.isnan(diag), 1.0 if kind == "similarity" else 0.0, diag))
     if kind == "counts":
         # the first offending cell in file order, named by its line and column
-        whole = np.isfinite(raw) & (raw == np.floor(raw)) & (np.abs(raw) < 2.0**63)
-        for bad, message in ((~missing & ~whole, "must be an integer below 2**63, not {}"),
-                             (np.isnan(data), "is blank in both triangles")):
+        whole = np.isfinite(raw) & (raw == np.floor(raw)) & (np.abs(raw) < FLOAT_EXACT_MAX)
+        for bad, error, message in (
+                (~missing & ~whole, MalformedLine, "must be an integer below 2**53, not {}"),
+                (raw < 0, NegativeCount, "must be non-negative, not {}"),
+                (np.isnan(data), MalformedLine, "is blank in both triangles")):
             if bad.any():
                 i, j = (int(k) for k in np.argwhere(bad)[0])
-                raise MalformedLine(lines[i + 1], f"count cell {header[j]!r} "
-                                    + message.format(repr(float(raw[i, j]))))
+                raise error(lines[i + 1], f"count cell {header[j]!r} "
+                            + message.format(repr(float(raw[i, j]))))
         return CooccurrenceMatrix(tuple(header), data.astype(np.int64))
     if kind not in ("similarity", "dissimilarity"):
         raise ValueError(f"unknown square-matrix kind {kind!r}")
-    # average residual float noise so the symmetry invariant holds exactly
-    sym = (data + data.T) / 2.0
-    return ProximityMatrix(tuple(header), sym, kind=kind)
+    return ProximityMatrix(tuple(header), data, kind=kind)
 
 
 def _number_cells(data) -> list:
@@ -308,12 +309,15 @@ def _labelled_csv(header, labels, rows) -> str:
 def serialize_square_matrix(M) -> str:
     """Serialize a square matrix (proximity or co-occurrence) to labeled CSV.
 
-    Cells are written as :func:`_number_cells` gives them.  A label the
-    parser would not read back unchanged (leading or trailing whitespace, or
-    a ``\\r``) raises ``ValueError`` naming it.
+    A co-occurrence matrix's counts are written as exact integers; proximity
+    cells as :func:`_number_cells` gives them.  A label the parser would not
+    read back unchanged (leading or trailing whitespace, or a ``\\r``)
+    raises ``ValueError`` naming it.
     """
     _check_csv_labels(M.labels)
-    return _labelled_csv([""] + list(M.labels), M.labels, _number_cells(M.data))
+    cells = (np.asarray(M.data).tolist() if isinstance(M, CooccurrenceMatrix)
+             else _number_cells(M.data))
+    return _labelled_csv([""] + list(M.labels), M.labels, cells)
 
 
 def parse_rectangular_matrix(text: str) -> OccurrenceMatrix:
@@ -333,7 +337,7 @@ def parse_rectangular_matrix(text: str) -> OccurrenceMatrix:
         except ValueError:
             raise MalformedLine(line_no, "count cells must be integers") from None
         if any(v < 0 for v in values):
-            raise NegativeCount(f"line {line_no}: negative count")
+            raise NegativeCount(line_no, "negative count")
         data.append(values)
     return OccurrenceMatrix(tuple(rows), cols, np.array(data, dtype=np.int64))
 

@@ -119,9 +119,10 @@ class ProximityMatrix:
     """Symmetric real matrix tagged as similarity or dissimilarity.
 
     NaN entries mark missing proximities; they must appear symmetrically.
-    Infinite entries are rejected.  A dissimilarity's diagonal is stored as
-    zero.  The measurement level is not a property of the matrix: scaling
-    declares it (:class:`cocmap.mds.MdsConfig`).
+    Infinite entries are rejected.  The data must be symmetric within 1e-12;
+    two cells that differ both store their mean.  A dissimilarity's diagonal
+    is stored as zero.  The measurement level is not a property of the
+    matrix: scaling declares it (:class:`cocmap.mds.MdsConfig`).
     """
 
     labels: tuple[str, ...]
@@ -132,7 +133,7 @@ class ProximityMatrix:
         object.__setattr__(self, "labels", _as_labels(self.labels, "object"))
         if self.kind not in PROXIMITY_KINDS:
             raise ValueError(f"unknown proximity kind {self.kind!r}")
-        data = np.asarray(self.data, dtype=float)
+        data = np.array(self.data, dtype=float)  # a copy: the mean is stored in place
         n = len(self.labels)
         if data.shape != (n, n):
             raise ValueError(f"data shape {data.shape} does not match {n} labels")
@@ -152,6 +153,8 @@ class ProximityMatrix:
             if np.any(np.abs(diag[~np.isnan(diag)]) > SYMMETRY_TOL):
                 raise ValueError("dissimilarity diagonal must be zero")
             data = np.where(np.eye(n, dtype=bool), 0.0, data)
+        unequal = data != data.T  # cells off by rounding are small: their mean cannot overflow
+        data[unequal] = (data[unequal] + data.T[unequal]) / 2
         object.__setattr__(self, "data", _freeze(data))
 
     @property
@@ -159,14 +162,14 @@ class ProximityMatrix:
         return len(self.labels)
 
 
-def count_product(data, labels) -> np.ndarray:
+def count_product(data) -> np.ndarray:
     """Exact ``data.T @ data`` for a non-negative documents x attributes count array.
 
-    While the bound ``n_docs * max**2`` on every entry and partial sum is
-    below 2**53, the product runs in float64 BLAS, where integers of that
-    size are exact, and is cast back to int64.  Above it (or for object
-    input) entries are summed as Python integers, and :class:`CountOverflow`
-    is raised rather than wrapping if one exceeds the unsigned 64-bit range.
+    Every column product of counts in the package comes from here.  While
+    ``n_docs * max**2``, a bound on every entry and partial sum, is below
+    2**53, the product runs in float64 BLAS, exact at that size, and is cast
+    to int64.  Above it (or for object input) Python integers are summed,
+    hundreds of times slower than BLAS, into an object array.
     """
     data = np.asarray(data)
     if data.dtype == object:
@@ -182,12 +185,6 @@ def count_product(data, labels) -> np.ndarray:
     out = np.empty((n, n), dtype=object)
     for i in range(n):  # row i of the upper triangle, mirrored
         out[i, i:] = out[i:, i] = exact[:, i] @ exact[:, i:]
-    over = np.argwhere(np.triu(out > U64_MAX))
-    if len(over):
-        i, j = over[0]  # the first pair in row-major order
-        raise CountOverflow(
-            f"count for ({labels[i]!r}, {labels[j]!r}) exceeds the unsigned 64-bit range"
-        )
     return out
 
 
@@ -201,7 +198,7 @@ def cooccurrence(A: OccurrenceMatrix, diagonal_policy: str = "raw") -> Cooccurre
     """
     if diagonal_policy not in DIAGONAL_POLICIES:
         raise ValueError(f"unknown diagonal policy {diagonal_policy!r}")
-    counts = count_product(np.asarray(A.data) > 0, A.cols)
+    counts = count_product(np.asarray(A.data) > 0)
     if diagonal_policy == "zeroed":
         np.fill_diagonal(counts, 0)
     return CooccurrenceMatrix(A.cols, counts)
@@ -216,7 +213,14 @@ def affiliations(A: OccurrenceMatrix) -> CooccurrenceMatrix:
     co-occurrence count contributes one.  Raises :class:`CountOverflow`
     rather than wrapping if an entry exceeds the unsigned 64-bit range.
     """
-    return CooccurrenceMatrix(A.cols, count_product(A.data, A.cols))
+    counts = count_product(A.data)
+    over = np.argwhere(np.triu(counts > U64_MAX))
+    if len(over):
+        i, j = over[0]  # the first pair in row-major order
+        raise CountOverflow(
+            f"count for ({A.cols[i]!r}, {A.cols[j]!r}) exceeds the unsigned 64-bit range"
+        )
+    return CooccurrenceMatrix(A.cols, counts)
 
 
 def binarize(M: CooccurrenceMatrix) -> CooccurrenceMatrix:

@@ -29,7 +29,6 @@ def _column_pearson(X: np.ndarray, labels) -> np.ndarray:
     cov = (centered.T @ centered) / n
     r = cov / np.sqrt(np.outer(var, var))
     r = np.clip(r, -1.0, 1.0)
-    r = (r + r.T) / 2.0
     np.fill_diagonal(r, 1.0)
     return r
 
@@ -62,16 +61,16 @@ def cosine_columns(A: OccurrenceMatrix) -> ProximityMatrix:
     """Cosine of the angle between attribute columns.
 
     Analogous to the Pearson measure but without centering on the column
-    mean; for non-negative counts all values lie in [0, 1].
+    mean; for non-negative counts all values lie in [0, 1].  The column
+    products are :func:`count_product`'s exact ``G``, so each value is
+    ``G_ij / sqrt(G_ii G_jj)`` rounded from exact integers.
     """
-    X = np.asarray(A.data, dtype=float)
-    norms = np.sqrt((X**2).sum(axis=0))
+    G = count_product(A.data)
+    norms = np.sqrt(np.diagonal(G).astype(float))
     for j, v in enumerate(norms):
         if v == 0.0:
             raise ZeroNormColumn(A.cols[j])
-    c = (X.T @ X) / np.outer(norms, norms)
-    c = np.clip(c, -1.0, 1.0)
-    c = (c + c.T) / 2.0
+    c = np.clip(G.astype(float) / np.outer(norms, norms), -1.0, 1.0)
     np.fill_diagonal(c, 1.0)
     return ProximityMatrix(A.cols, c, kind="similarity")
 
@@ -83,7 +82,7 @@ def jaccard_columns(A: OccurrenceMatrix) -> ProximityMatrix:
     empty support get a zero diagonal entry and a warning instead of an
     error, since the measure is still well defined everywhere else.
     """
-    inter = count_product(np.asarray(A.data) > 0, A.cols)
+    inter = count_product(np.asarray(A.data) > 0)
     sizes = np.diagonal(inter)
     union = sizes[:, None] + sizes[None, :] - inter
     with np.errstate(invalid="ignore"):
@@ -101,27 +100,15 @@ def jaccard_columns(A: OccurrenceMatrix) -> ProximityMatrix:
 def euclidean_columns(A: OccurrenceMatrix) -> ProximityMatrix:
     """Euclidean distance between attribute columns (a dissimilarity).
 
-    Distances come from the Gram form ``sqrt(sq_i + sq_j - 2 G_ij)``, one
-    BLAS product over thousands of documents.  The form cancels when two
-    columns are nearly equal: at counts near 1e8 it can put two copies of a
-    column 45 apart.  A pair whose squared distance falls below 1e-6 of
-    ``sq_i + sq_j`` is recomputed from the column difference, so equal
-    columns are at 0.
+    The squared distance ``sq_i + sq_j - 2 G_ij`` is formed in exact
+    integers from :func:`count_product`'s ``G`` (``sq`` is its diagonal),
+    so each distance is the square root of the exact sum, rounded once;
+    equal columns are at exactly 0.
     """
-    X = np.asarray(A.data, dtype=float).T
-    sq = (X**2).sum(axis=1)
-    # (sq_i + sq_j) - 2 G_ij, in place; that order keeps the result symmetric
-    d = sq[:, None] + sq
-    d -= 2.0 * (X @ X.T)
-    np.maximum(d, 0.0, out=d)
-    np.sqrt(d, out=d)
-    close = d * d <= 1e-6 * (sq[:, None] + sq)
-    np.fill_diagonal(close, False)
-    for i in np.flatnonzero(close.any(axis=1)):
-        js = np.flatnonzero(close[i])
-        d[i, js] = d[js, i] = np.sqrt(((X[js] - X[i]) ** 2).sum(axis=1))
-    np.fill_diagonal(d, 0.0)
-    return ProximityMatrix(A.cols, d, kind="dissimilarity")
+    G = count_product(A.data)
+    sq = np.diagonal(G)
+    return ProximityMatrix(A.cols, np.sqrt((sq[:, None] + sq - 2 * G).astype(float)),
+                           kind="dissimilarity")
 
 
 def to_dissimilarity(S: ProximityMatrix, constant: float | str = "auto") -> ProximityMatrix:

@@ -76,6 +76,17 @@ class TestBuildAndProx:
         # pair (A, B) co-occurs in three documents
         assert text.splitlines()[1].split(",")[2] == "3"
 
+    def test_matrix_format_counts_are_written_exactly(self, tmp_path):
+        # a counts CSV read with --format matrix; the products pass float64's exact range
+        a, b = 3037000499, 3037000500
+        path = tmp_path / "counts.csv"
+        path.write_text(f",x,y\nd1,{a},{b}\nd2,1,0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["build", "--in", str(path), "--format", "matrix",
+                    "--derive", "affiliations", "--out", str(out)]) == 0
+        assert (out / "affiliations.csv").read_text() == (
+            f",x,y\nx,{a * a + 1},{a * b}\ny,{a * b},{b * b}\n")
+
     def test_prox_pearson_shift(self, tmp_path, records_file):
         out = tmp_path / "out"
         code = run([
@@ -509,7 +520,7 @@ CLI_OUTCOMES = {
     "layout-infinite-count": (["layout", "--in", "counts.csv"],
                               {"counts.csv": ",a,b\na,0,\nb,1e400,0\n"}, 1,
                               "error: ingest.MalformedLine: line 3: count cell 'a' "
-                              "must be an integer below 2**63, not inf\n"),
+                              "must be an integer below 2**53, not inf\n"),
     "pipeline-no-step": (["pipeline", "--builtin", "figure2", "--steps", ","], {}, 2,
                          "usage error: pipeline needs at least one step\n"),
     "mds-cities-as-similarity": (["mds", "--builtin", "cities", "--kind", "sim"], {}, 0, ""),

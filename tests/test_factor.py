@@ -483,3 +483,41 @@ def test_loadings_csv_matches_the_per_cell_reference():
     rng = np.random.default_rng(15)
     V = varimax(pca_from_correlation(factor_correlation(rng, 100, 33), n_factors=33))
     assert loadings_to_csv(V) == per_cell_loadings_csv(V)
+
+
+def _two_by_two(eigenvalues=(1.0, 1.0), pct=(50.0, 50.0), rotation="none"):
+    return LoadingsMatrix(("a", "b"), np.eye(2), eigenvalues, pct, rotation=rotation)
+
+
+_ONE_FACTOR = LoadingsMatrix(("a", "b"), [[1.0], [0.0]], (1.0, 1.0), (50.0,))
+
+# every check of the module's arguments: (call, error, exact message)
+FACTOR_ERRORS = {
+    "loadings-shape": (lambda: LoadingsMatrix(("a", "b"), np.zeros((3, 1)), (0.0,), (0.0,)),
+                       ValueError, "loadings shape does not match variable labels"),
+    "eigenvalue-order": (lambda: _two_by_two(eigenvalues=(1.0, 2.0)), ValueError,
+                         "eigenvalues must be non-increasing"),
+    "eigenvalue-sign": (lambda: _two_by_two(eigenvalues=(1.0, -1.0)), ValueError,
+                        "eigenvalues must be non-negative up to roundoff"),
+    "share-count": (lambda: _two_by_two(pct=(50.0,)), ValueError,
+                    "one explained-variance share per factor required"),
+    "rotation": (lambda: _two_by_two(rotation="promax"), ValueError,
+                 "unknown rotation 'promax'"),
+    "unrotated-sums": (lambda: _two_by_two(eigenvalues=(2.0, 1.0)), ValueError,
+                       "unrotated column sums of squares must equal eigenvalues"),
+    "n-factors": (lambda: pca_from_correlation(np.eye(3), n_factors=4), ValueError,
+                  "n_factors must be in [1, 3]"),
+    "scatter-dims": (lambda: factor_scatter_coords(_ONE_FACTOR, dims=4), ValueError,
+                     "dims must be 2 or 3"),
+    "scatter-factors": (lambda: factor_scatter_coords(_ONE_FACTOR), ValueError,
+                        "loadings have only 1 factors"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_ERRORS))
+def test_bad_input_is_refused(case):
+    call, error, message = FACTOR_ERRORS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message

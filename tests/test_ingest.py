@@ -289,9 +289,14 @@ class TestRecordsRefuseUnreadableNames:
 
 
 def per_cell_square_csv(M):
-    """Test-only reference: the cell-by-cell serializer the numpy masks replaced."""
+    """Test-only reference: the cell-by-cell serializer the numpy masks replaced.
+
+    Counts are written as exact integers, proximities through float.
+    """
 
     def format_number(v):
+        if isinstance(M, CooccurrenceMatrix):
+            return str(int(v))
         f = float(v)
         if f == int(f) and abs(f) < 1e15:
             return str(int(f))
@@ -331,7 +336,9 @@ class TestSquareSerializerBytes:
         C = C + C.T
         C[0, 1] = C[1, 0] = 2**53 + 1  # above float64's exact range
         M = CooccurrenceMatrix(tuple(f"a{i}" for i in range(250)), C)
-        assert serialize_square_matrix(M) == per_cell_square_csv(M)
+        text = serialize_square_matrix(M)
+        assert text == per_cell_square_csv(M)
+        assert list(csv.reader(io.StringIO(text)))[1][2] == "9007199254740993"
 
     def test_dissimilarities_match_the_per_cell_reference(self):
         M = builtin_dataset("cities")
@@ -450,7 +457,7 @@ def _counts(text):
     return parse_square_matrix(text, "counts")
 
 
-# every named error of the parsers: (parser, input text, error, exact message)
+# every error of the parsers: (parser, input text, error, exact message)
 PARSE_ERRORS = {
     "records-empty-doc-id": (parse_records, "\tA\n", MalformedLine,
                              "line 1: empty document id"),
@@ -465,14 +472,24 @@ PARSE_ERRORS = {
                           "line 2: more cells than header columns"),
     "square-bad-number": (_square, ",a,b\na,0,\nb,x,0\n", MalformedLine,
                           "line 3: invalid number 'x'"),
+    "square-asymmetric": (_square, ",a,b\na,0,0.5\nb,0.5000000001,0\n", AsymmetricInput,
+                          "cells (0,1) and (1,0) differ by 1e-10"),
     "counts-infinite": (_counts, ",a,b\na,0,\nb,1e400,0\n", MalformedLine,
-                        "line 3: count cell 'a' must be an integer below 2**63, not inf"),
+                        "line 3: count cell 'a' must be an integer below 2**53, not inf"),
     "counts-fraction": (_counts, ",a,b\na,0,1.5\nb,,0\n", MalformedLine,
-                        "line 2: count cell 'b' must be an integer below 2**63, not 1.5"),
+                        "line 2: count cell 'b' must be an integer below 2**53, not 1.5"),
+    "counts-above-2**53": (_counts, ",a,b\na,0,\nb,9007199254740993,0\n", MalformedLine,
+                           "line 3: count cell 'a' must be an integer below 2**53, "
+                           "not 9007199254740992.0"),
+    "counts-negative": (_counts, ",a,b,c\na,0,,\nb,1,0,\nc,-2,3,0\n", NegativeCount,
+                        "line 4: count cell 'a' must be non-negative, not -2.0"),
     "counts-unresolved": (_counts, ",a,b,c\na,0,,\nb,,0,\nc,1,1,0\n", MalformedLine,
                           "line 2: count cell 'b' is blank in both triangles"),
     "counts-after-blank-line": (_counts, ",a,b\n\na,0,\nb,1.5,0\n", MalformedLine,
-                                "line 4: count cell 'a' must be an integer below 2**63, not 1.5"),
+                                "line 4: count cell 'a' must be an integer below 2**53, not 1.5"),
+    "square-unknown-kind": (lambda text: parse_square_matrix(text, "distance"), ",a\na,0\n",
+                            ValueError, "unknown square-matrix kind 'distance'"),
+    "matrix-empty": (parse_rectangular_matrix, "\n", MalformedLine, "line 0: empty matrix file"),
     "matrix-cell-count": (parse_rectangular_matrix, ",a,b\nd1,1\n", MalformedLine,
                           "line 2: expected 3 cells, found 2"),
     "matrix-not-integer": (parse_rectangular_matrix, ",a,b\nd1,1,x\n", MalformedLine,
@@ -489,5 +506,7 @@ def test_parse_error_is_named(case):
     parse, text, error, message = PARSE_ERRORS[case]
     with pytest.raises(error) as err:
         parse(text)
+    assert type(err.value) is error
     assert str(err.value) == message
-    assert err.value.qualified_name == f"ingest.{error.__name__}"
+    if error is not ValueError:  # a named error carries its module
+        assert err.value.qualified_name == f"ingest.{error.__name__}"

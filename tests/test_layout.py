@@ -646,3 +646,45 @@ def test_layout_contract_on_random_graphs(G):
     assert np.array_equal(again.positions, result.positions)
     assert (again.final_energy, again.initial_energy, again.iterations, again.max_gradient) == \
         (result.final_energy, result.initial_energy, result.iterations, result.max_gradient)
+
+
+def _graph(*edges):
+    return WeightedGraph(("a", "b"), edges)
+
+
+# every check of the module's arguments: (call, error, exact message)
+LAYOUT_ERRORS = {
+    "self-loop": (lambda: _graph((0, 0, 1.0)), ValueError, "self-loops are not allowed"),
+    "unknown-node": (lambda: _graph((0, 2, 1.0)), ValueError,
+                     "edge (0, 2) references an unknown node"),
+    "duplicate-edge": (lambda: _graph((0, 1, 1.0), (1, 0, 2.0)), ValueError,
+                       "duplicate edge (0, 1)"),
+    "weight": (lambda: _graph((0, 1, 0.0)), ValueError,
+               "edge weights must be positive and finite"),
+    "positions": (lambda: LayoutResult([[np.nan, 0.0]], 0.0, 0), ValueError,
+                  "positions must be finite"),
+    "threshold": (lambda: graph_from_cooccurrence(builtin_dataset("figure1"), 0), ValueError,
+                  "threshold must be >= 1"),
+    "one-node": (lambda: kamada_kawai(WeightedGraph(("a",), ())), ValueError,
+                 "layout needs at least two nodes"),
+    "pajek-vertex-count": (lambda: import_pajek('*Vertices 3\n1 "a"\n2 "b"\n'), ValueError,
+                           "vertex count 3 does not match 2 vertex lines"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_ERRORS))
+def test_bad_input_is_refused(case):
+    call, error, message = LAYOUT_ERRORS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def test_import_pajek_skips_comments_and_other_sections_and_reads_bare_labels():
+    text = ("% written by hand\n*Vertices 3\n1 a 0.1 0.2\n2 \"b c\" 0.3 0.4\n3 d 0.5 0.6\n"
+            "*Partition\n1\n2\n*Edges\n1 2 2.5\n% a comment between edges\n2 3\n")
+    graph, positions = import_pajek(text)
+    assert graph.node_labels == ("a", "b c", "d")
+    assert graph.edges == ((0, 1, 2.5), (1, 2, 1.0))
+    assert np.array_equal(positions, [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])

@@ -350,3 +350,33 @@ def test_construction_leaves_the_callers_array_writeable(case):
     assert not stored(obj).flags.writeable
     array[0, 0] += 1
     assert np.array_equal(stored(obj), before)
+
+
+_FIGURE2 = builtin_dataset("figure2")
+
+# every check of the module's arguments: (call, error, exact message)
+MATRIX_ERRORS = {
+    "count-dtype": (lambda: OccurrenceMatrix(("d",), ("a", "b"), np.array([["1", "2"]])),
+                    ValueError, "count matrix entries must be integers"),
+    "occurrence-shape": (lambda: OccurrenceMatrix(("d",), ("a", "b"), [[1, 2, 3]]), ValueError,
+                         "data shape (1, 3) does not match 1 rows x 2 columns"),
+    "no-documents": (lambda: OccurrenceMatrix((), ("a", "b"), np.zeros((0, 2), dtype=int)),
+                     ValueError, "need at least one document row"),
+    "cooccurrence-shape": (lambda: CooccurrenceMatrix(("a", "b"), [[1]]), ValueError,
+                           "data shape (1, 1) does not match 2 labels"),
+    "proximity-kind": (lambda: ProximityMatrix(("a", "b"), np.eye(2), kind="distance"),
+                       ValueError, "unknown proximity kind 'distance'"),
+    "proximity-shape": (lambda: ProximityMatrix(("a", "b"), [[1.0]], kind="similarity"),
+                        ValueError, "data shape (1, 1) does not match 2 labels"),
+    "diagonal-policy": (lambda: cooccurrence(_FIGURE2, "blank"), ValueError,
+                        "unknown diagonal policy 'blank'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_ERRORS))
+def test_bad_input_is_refused(case):
+    call, error, message = MATRIX_ERRORS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message

@@ -766,7 +766,7 @@ def _unknown_level():
     transform_disparities(delta, delta, "nominal", delta > 0)
 
 
-# the library's own checks of its settings: (call, exact ValueError message)
+# the library's own checks of its settings and arguments: (call, exact ValueError message)
 SETTING_ERRORS = {
     "dimensions": (lambda: MdsConfig(dimensions=0), "dimensions must be >= 1"),
     "level": (lambda: MdsConfig(level="nominal"), "unknown level 'nominal'"),
@@ -775,6 +775,8 @@ SETTING_ERRORS = {
     "max-iterations": (lambda: MdsConfig(max_iterations=0), "max_iterations must be >= 1"),
     "epsilon": (lambda: MdsConfig(epsilon=0.0), "epsilon must be positive"),
     "disparity-level": (_unknown_level, "unknown level 'nominal'"),
+    "procrustes-shapes": (lambda: procrustes_align(np.zeros((3, 2)), np.zeros((2, 2))),
+                          "configurations must have matching shapes"),
 }
 
 
@@ -783,4 +785,5 @@ def test_bad_setting_is_refused(case):
     call, message = SETTING_ERRORS[case]
     with pytest.raises(ValueError) as err:
         call()
+    assert type(err.value) is ValueError
     assert str(err.value) == message

@@ -1,6 +1,6 @@
 """Column similarity measures and similarity/dissimilarity conversions."""
 
-import itertools
+import math
 
 import numpy as np
 import pytest
@@ -280,35 +280,76 @@ class TestPearsonOfProximities:
         assert R.data[0, 2] == pytest.approx(-1.0, abs=1e-12)
 
 
-def euclidean_reference(X):
-    """The column distances as `euclidean_columns` computed them before it
-    shared the SMACOF distance kernel."""
-    X = np.asarray(X, dtype=float)
-    sq = (X**2).sum(axis=0)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X.T @ X)
-    d = np.sqrt(np.maximum(d2, 0.0))
-    d = (d + d.T) / 2.0
-    np.fill_diagonal(d, 0.0)
-    return d
+def exact_columns(data):
+    """The columns of a count array as lists of Python integers."""
+    return [[int(v) for v in col] for col in np.asarray(data).T]
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_euclidean_columns_is_bitwise_the_reference_formula(seed):
+def euclidean_reference(data):
+    """Each column distance as the square root of its exact squared distance, rounded once."""
+    cols = exact_columns(data)
+    return np.array([[math.sqrt(sum((a - b) ** 2 for a, b in zip(u, v))) for v in cols]
+                     for u in cols])
+
+
+def cosine_reference(data):
+    """``G_ij / sqrt(G_ii G_jj)`` from the exact column products G, clipped to 1."""
+    cols = exact_columns(data)
+    G = [[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols]
+    n = len(cols)
+    return np.array([[1.0 if i == j else min(1.0, G[i][j] / (math.sqrt(G[i][i])
+                                                            * math.sqrt(G[j][j])))
+                      for j in range(n)] for i in range(n)])
+
+
+def large_counts(seed):
     rng = np.random.default_rng(seed)
     n_docs, n_attrs = int(rng.integers(1, 400)), int(rng.integers(2, 60))
-    # counts up to 1e8 make the squared sums round, so the order of operations shows
-    top = 50 if seed < 4 else 10**8
+    # counts up to 1e8 make float64 column products round; up to 1e10 they
+    # pass the unsigned 64-bit range
+    top = 50 if seed < 4 else 10**8 if seed < 8 else 10**10
     data = rng.integers(0, top, size=(n_docs, n_attrs))
-    if seed % 2:  # duplicate columns: distance exactly 0 off the diagonal
+    if seed % 2:  # copied columns: distance exactly 0 off the diagonal
         data[:, 1] = data[:, 0]
         data[:, -1] = data[:, 0]
-    A = OccurrenceMatrix(tuple(f"d{i}" for i in range(n_docs)),
-                         tuple(f"a{j}" for j in range(n_attrs)), data)
+    return OccurrenceMatrix(tuple(f"d{i}" for i in range(n_docs)),
+                            tuple(f"a{j}" for j in range(n_attrs)), data)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_euclidean_columns_is_bitwise_the_reference_formula(seed):
+    A = large_counts(seed)
     D = np.asarray(euclidean_columns(A).data)
-    expected = euclidean_reference(data)
-    if seed % 2:  # equal columns at distance 0, also where the Gram form cancels
-        copies = [0, 1, n_attrs - 1]
-        for i, j in itertools.permutations(copies, 2):
-            assert D[i, j] == 0.0
-            expected[i, j] = 0.0
-    assert np.array_equal(D.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(D.view(np.int64), euclidean_reference(A.data).view(np.int64))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cosine_columns_is_bitwise_the_exact_product_formula(seed):
+    A = large_counts(seed)
+    C = np.asarray(cosine_columns(A).data)
+    assert np.array_equal(C.view(np.int64), cosine_reference(A.data).view(np.int64))
+
+
+_DISTANCES = ProximityMatrix(("a", "b"), [[0.0, 1.0], [1.0, 0.0]], kind="dissimilarity")
+
+# every check of the module's arguments: (call, error, exact message)
+PROXIMITY_ERRORS = {
+    "shift-kind": (lambda: shift_pearson(_DISTANCES), ValueError,
+                   "shift_pearson expects a similarity matrix"),
+    "shift-range": (lambda: shift_pearson(ProximityMatrix(("a", "b"), [[1.0, 2.0], [2.0, 1.0]],
+                                                          kind="similarity")),
+                    OutOfRange, "entries must lie in [-1, 1] before shifting"),
+    "dissimilarity-kind": (lambda: to_dissimilarity(_DISTANCES), ValueError,
+                           "to_dissimilarity expects a similarity matrix"),
+    "zero-norm": (lambda: cosine_columns(OccurrenceMatrix(("d",), ("a", "b"), [[1, 0]])),
+                  ZeroNormColumn, "column 'b' has zero norm"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROXIMITY_ERRORS))
+def test_bad_input_is_refused(case):
+    call, error, message = PROXIMITY_ERRORS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message

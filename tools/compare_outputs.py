@@ -8,12 +8,13 @@ Usage:
 (a checkout's ``src``).  Each call runs once per tree, in a fresh child
 with that tree on ``PYTHONPATH`` and one BLAS thread, writing to the same
 relative output directory, so report paths and printed messages match.
-The calls cover every subcommand, the three demos, a layout of small graphs
-with twin vertices and a two-vertex component, an ordinal fit over heavily
-tied proximities, pipelines whose reports record every scaling and factor
-setting, and the four benchmark workloads on the inputs
-``perfbench/workloads.generate`` writes at a fixed seed; ``perfbench/`` is
-only read.
+The calls cover every subcommand, the three demos, counts beyond float64's
+exact range (a counts CSV read with ``--format matrix`` and a co-occurrence
+CSV holding 2**53 + 1), a layout of small graphs with twin vertices and a
+two-vertex component, an ordinal fit over heavily tied proximities,
+pipelines whose reports record every scaling and factor setting, and the
+four benchmark workloads on the inputs ``perfbench/workloads.generate``
+writes at a fixed seed; ``perfbench/`` is only read.
 
 A call's files are its output directory plus its exit code, stdout and
 stderr.  Before comparison the ``timestamp`` line is dropped from every
@@ -66,6 +67,24 @@ e1,0,0,0,0,0,0,0,0,0,0,0,2
 e2,0,0,0,0,0,0,0,0,0,0,2,0
 """
 
+# a documents x attributes counts CSV whose column products pass float64's
+# exact range (2**53) and int64's (2**63); columns a and b are 7**0.5 apart
+LARGE_COUNTS = """\
+,a,b,c,d
+d1,3037000499,3037000500,100000000,1
+d2,1,0,123456789,7
+d3,250000000,250000001,987654321,2
+d4,0,2,1,0
+"""
+
+# a co-occurrence CSV with a count of 2**53 + 1, which float64 cannot hold
+ABOVE_FLOAT_EXACT = """\
+,a,b,c
+a,0,9007199254740993,1
+b,9007199254740993,0,2
+c,1,2,0
+"""
+
 
 def calls(directory: Path) -> list[tuple[str, list[str]]]:
     """Write the inputs under ``directory``; return the calls as (name, arguments without --out)."""
@@ -79,6 +98,11 @@ def calls(directory: Path) -> list[tuple[str, list[str]]]:
     gappy.write_text(GAPPY_CITIES, encoding="utf-8")
     small_graphs = directory / "small_graphs.csv"
     small_graphs.write_text(SMALL_GRAPHS, encoding="utf-8")
+    large = directory / "large_counts.csv"
+    large.write_text(LARGE_COUNTS, encoding="utf-8")
+    above = directory / "above_float_exact.csv"
+    above.write_text(ABOVE_FLOAT_EXACT, encoding="utf-8")
+    matrix = ["--in", str(large), "--format", "matrix"]
     fixed = [
         ("demo-cities-correct", ["demo", "cities-correct"]),
         ("demo-cities-distorted", ["demo", "cities-distorted"]),
@@ -86,10 +110,13 @@ def calls(directory: Path) -> list[tuple[str, list[str]]]:
         ("build-occurrence", ["build", "--builtin", "figure2", "--derive", "occurrence"]),
         ("build-cooccurrence", ["build", "--builtin", "figure2", "--diag", "zero"]),
         ("build-affiliations", ["build", "--in", records, "--derive", "affiliations"]),
+        ("build-affiliations-large", ["build", *matrix, "--derive", "affiliations"]),
         ("prox-pearson-shift", ["prox", "--builtin", "figure2", "--shift"]),
         ("prox-cosine", ["prox", "--in", records, "--measure", "cosine"]),
         ("prox-jaccard", ["prox", "--builtin", "figure2", "--measure", "jaccard"]),
         ("prox-euclidean", ["prox", "--in", records, "--measure", "euclidean"]),
+        ("prox-cosine-large", ["prox", *matrix, "--measure", "cosine"]),
+        ("prox-euclidean-large", ["prox", *matrix, "--measure", "euclidean"]),
         ("mds-cities", ["mds", "--builtin", "cities"]),
         ("mds-cities-interval-3d", ["mds", "--builtin", "cities", "--level", "interval",
                                     "--dims", "3"]),
@@ -101,6 +128,7 @@ def calls(directory: Path) -> list[tuple[str, list[str]]]:
         ("factor-unrotated", ["factor", "--in", records, "--factors", "3", "--rotate", "none"]),
         ("layout-figure1", ["layout", "--builtin", "figure1"]),
         ("layout-small-graphs", ["layout", "--in", str(small_graphs)]),
+        ("layout-above-float-exact", ["layout", "--in", str(above)]),
         ("pipeline-euclidean-mds", ["pipeline", "--in", records, "--steps",
                                     "euclidean,mds", "--level", "interval"]),
         # an ordinal fit over heavily tied proximities: 7140 pairs, 2755 values
