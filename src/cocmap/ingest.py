@@ -99,58 +99,93 @@ def parse_records(text: str) -> OccurrenceMatrix:
     Line format: ``doc_id<TAB>label[:count](;label[:count])*``.  Counts
     default to 1 and repeated labels within a line accumulate.  Lines
     starting with ``#`` and blank lines are skipped.  Columns are the sorted
-    distinct labels; rows keep file order.
+    distinct labels; rows keep file order.  A malformed file raises the
+    error of its first bad line in file order (:func:`_check_record_line`).
     """
-    rows: list[str] = []
-    cells: list[dict[str, int]] = []
-    seen: set[str] = set()
-    labels: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if "\t" not in line:
-            raise MalformedLine(line_no, "expected doc_id<TAB>attributes")
-        doc_id, rest = line.split("\t", 1)
-        doc_id = doc_id.strip()
-        if not doc_id:
-            raise MalformedLine(line_no, "empty document id")
-        if doc_id in seen:
-            raise DuplicateDocId(doc_id)
-        seen.add(doc_id)
-        counts: dict[str, int] = {}
-        for item in rest.split(";"):
-            item = item.strip()
-            if not item:
-                raise MalformedLine(line_no, "empty attribute entry")
-            if ":" in item:
-                label, count_text = item.split(":", 1)
-                label = label.strip()
-                try:
-                    count = int(count_text.strip())
-                except ValueError:
-                    raise MalformedLine(
-                        line_no, f"invalid count {count_text.strip()!r}"
-                    ) from None
-                if count < 0:
-                    raise NegativeCount(line_no, f"negative count for {label!r}")
-            else:
-                label, count = item, 1
-            if not label:
-                raise MalformedLine(line_no, "empty attribute label")
-            counts[label] = counts.get(label, 0) + count
-            labels.add(label)
-        rows.append(doc_id)
-        cells.append(counts)
-    if not rows:
+    # the parse's temporaries are freed before the matrix copies the counts
+    return OccurrenceMatrix(*_read_records(text))
+
+
+def _read_records(text: str) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """The document ids, the sorted labels and the int64 counts of a record file."""
+    records = list(filter(_is_record, text.splitlines()))
+    if not records:
         raise MalformedLine(0, "no record lines found")
-    cols = tuple(sorted(labels))
-    data = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    # every line at once: ids and entries as flat lists, each distinct entry
+    # text read once, then one sorted label index and one accumulation.  The
+    # ids, which the matrix keeps, are cut first and without other objects
+    # kept around them: scattered among the parse's temporaries, they held
+    # about 0.6 MB of heap in use for the rest of a run.
+    ids = [line.partition("\t")[0].strip() for line in records]
+    rests = [line.partition("\t")[2] for line in records]
+    entries = ";".join(rests).split(";")
+    code = {entry: k for k, entry in enumerate(dict.fromkeys(entries))}
+    pairs = [entry.strip().partition(":") for entry in code]
+    labels = [label.strip() for label, _, _ in pairs]
+    try:
+        values = [int(count.strip()) if colon else 1 for _, colon, count in pairs]
+    except ValueError:  # an invalid count
+        values = None
+    # checked in bulk (a line without a tab, an empty entry and an empty label
+    # all leave an empty label); if a check fails, the lines are checked one
+    # at a time in file order, which raises the first line's error
+    if values is None or not (all(labels) and all(ids) and len(set(ids)) == len(ids)
+                              and min(values) >= 0):
+        seen: set[str] = set()
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            if _is_record(line):
+                seen.add(_check_record_line(line_no, line, seen))
+    cols = tuple(sorted(set(labels)))
     index = {label: j for j, label in enumerate(cols)}
-    for i, counts in enumerate(cells):
-        for label, count in counts.items():
-            data[i, index[label]] = count
-    return OccurrenceMatrix(tuple(rows), cols, data)
+    codes = np.array(list(map(code.__getitem__, entries)))
+    flat = np.repeat(np.arange(len(ids)) * len(cols), [rest.count(";") + 1 for rest in rests])
+    flat += np.array(list(map(index.__getitem__, labels)))[codes]
+    counts = np.array(values, dtype=np.int64)[codes]  # OverflowError past the int64 range
+    # int64 sums are exact while no cell can pass 2**63 - 1; past that, sum
+    # Python integers, so that a cell out of range raises OverflowError
+    dtype = np.int64 if max(values) * len(entries) < 2**63 else object
+    data = np.zeros(len(ids) * len(cols), dtype=dtype)
+    np.add.at(data, flat, counts.astype(dtype, copy=False))
+    return tuple(ids), cols, data.astype(np.int64, copy=False).reshape(len(ids), len(cols))
+
+
+def _is_record(line: str) -> bool:
+    """Whether a line of a record file holds a record: not blank, not a ``#`` comment."""
+    head = line.lstrip()
+    return bool(head) and head[0] != "#"
+
+
+def _check_record_line(line_no: int, line: str, earlier_ids: set[str]) -> str:
+    """Raise the error of a record line, checked in reading order; else return its id.
+
+    The one place that words each record error; ``earlier_ids`` are the
+    document ids of the lines before it.
+    """
+    doc_id, tab, rest = line.partition("\t")
+    if not tab:
+        raise MalformedLine(line_no, "expected doc_id<TAB>attributes")
+    doc_id = doc_id.strip()
+    if not doc_id:
+        raise MalformedLine(line_no, "empty document id")
+    if doc_id in earlier_ids:
+        raise DuplicateDocId(doc_id)
+    for item in rest.split(";"):
+        item = item.strip()
+        if not item:
+            raise MalformedLine(line_no, "empty attribute entry")
+        label, colon, count_text = item.partition(":")
+        label = label.strip()
+        if colon:
+            count_text = count_text.strip()
+            try:
+                count = int(count_text)
+            except ValueError:
+                raise MalformedLine(line_no, f"invalid count {count_text!r}") from None
+            if count < 0:
+                raise NegativeCount(line_no, f"negative count for {label!r}")
+        if not label:
+            raise MalformedLine(line_no, "empty attribute label")
+    return doc_id
 
 
 _RECORD_SEPARATORS = (":", ";", "\t")
@@ -226,6 +261,7 @@ def parse_square_matrix(text: str, kind: str):
     count cell that is not an integer below 2**53 (the range float64 reads
     exactly), or one blank in both triangles, raises :class:`MalformedLine`
     naming its line and column; a negative one raises :class:`NegativeCount`.
+    A bad cell is quoted as written.
     """
     table, lines = _read_csv_rows(text)
     if not table:
@@ -273,8 +309,9 @@ def parse_square_matrix(text: str, kind: str):
                 (np.isnan(data), MalformedLine, "is blank in both triangles")):
             if bad.any():
                 i, j = (int(k) for k in np.argwhere(bad)[0])
-                raise error(lines[i + 1], f"count cell {header[j]!r} "
-                            + message.format(repr(float(raw[i, j]))))
+                row = table[i + 1]  # the cell as written; a blank one may lie past the row's end
+                written = row[j + 1].strip() if j + 1 < len(row) else ""
+                raise error(lines[i + 1], f"count cell {header[j]!r} " + message.format(written))
         return CooccurrenceMatrix(tuple(header), data.astype(np.int64))
     if kind not in ("similarity", "dissimilarity"):
         raise ValueError(f"unknown square-matrix kind {kind!r}")
@@ -315,9 +352,35 @@ def serialize_square_matrix(M) -> str:
     raises ``ValueError`` naming it.
     """
     _check_csv_labels(M.labels)
-    cells = (np.asarray(M.data).tolist() if isinstance(M, CooccurrenceMatrix)
-             else _number_cells(M.data))
-    return _labelled_csv([""] + list(M.labels), M.labels, cells)
+    if isinstance(M, CooccurrenceMatrix):  # the writer formats integers in C
+        return _labelled_csv([""] + list(M.labels), M.labels, np.asarray(M.data).tolist())
+    # a proximity matrix is bitwise symmetric, so the upper triangle and the
+    # diagonal are formatted once and mirrored (0.0 and -0.0, the only equal
+    # cells with other bits, both print 0); number cells never need quoting
+    upper = np.triu_indices(M.n)
+    cells = np.empty((M.n, M.n), dtype=object)
+    cells[upper] = cells[upper[::-1]] = np.array(_number_cells(M.data[upper]), dtype=object)
+    fields = _first_fields(M.labels)
+    lines = [",".join(["", *fields])]
+    lines += [",".join([field, *row]) for field, row in zip(fields, cells.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def _first_fields(labels) -> list[str]:
+    """Each label as ``csv.writer`` writes it as the first of two or more fields.
+
+    Written alone, an empty label would be quoted, so each is written before
+    an empty field, whose ``","`` and line end are cut off again.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    fields = []
+    for label in labels:
+        writer.writerow((label, ""))
+        fields.append(out.getvalue()[:-2])
+        out.seek(0)
+        out.truncate()
+    return fields
 
 
 def parse_rectangular_matrix(text: str) -> OccurrenceMatrix:

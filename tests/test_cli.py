@@ -416,6 +416,21 @@ def test_python_dash_m_runs_the_cli(tmp_path, module):
                          capture_output=True, text=True, timeout=120)
     assert bad.returncode == 2
     assert "provide --in FILE or --builtin NAME" in bad.stderr
+    # main() freezes the import heap before the run: a warning, a result
+    # line and a data error must still all reach their streams
+    capped = subprocess.run(
+        [sys.executable, "-m", module, "mds", "--builtin", "cities", "--init", "random",
+         "--seed", "1", "--max-iter", "3", "--epsilon", "1e-15", "--out", "m"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (capped.returncode, capped.stdout, capped.stderr) == (
+        0, "normalized raw stress: 0.134106 (3 iterations)\n",
+        "warning: SMACOF stopped at the cap of 3 iterations; "
+        "the last stress change was 0.0452\n")
+    (tmp_path / "r.txt").write_text("d1\tA;B\nd2\tA:x\n", encoding="utf-8")
+    broken = subprocess.run([sys.executable, "-m", module, "factor", "--in", "r.txt"],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (broken.returncode, broken.stdout, broken.stderr) == (
+        1, "", "error: ingest.MalformedLine: line 2: invalid count 'x'\n")
 
 
 def test_capped_fit_prints_one_warning_line(tmp_path):
@@ -520,7 +535,7 @@ CLI_OUTCOMES = {
     "layout-infinite-count": (["layout", "--in", "counts.csv"],
                               {"counts.csv": ",a,b\na,0,\nb,1e400,0\n"}, 1,
                               "error: ingest.MalformedLine: line 3: count cell 'a' "
-                              "must be an integer below 2**53, not inf\n"),
+                              "must be an integer below 2**53, not 1e400\n"),
     "pipeline-no-step": (["pipeline", "--builtin", "figure2", "--steps", ","], {}, 2,
                          "usage error: pipeline needs at least one step\n"),
     "mds-cities-as-similarity": (["mds", "--builtin", "cities", "--kind", "sim"], {}, 0, ""),

@@ -348,6 +348,28 @@ class TestSquareSerializerBytes:
         assert serialize_square_matrix(P) == per_cell_square_csv(P)
         assert serialize_square_matrix(P) == ',a,"b,c",d\na,0,1.5,\n"b,c",1.5,0,2\nd,,2,0\n'
 
+    # labels the CSV writer must quote, or, if empty, must not quote inside a row
+    QUOTED_LABELS = [("",), ('"',), (",",), ("a\nb",), ("", '"'), (",", "a\nb"),
+                     ('x"y', ""), ("a\nb", "")]
+
+    @pytest.mark.parametrize("labels", QUOTED_LABELS)
+    def test_quoted_labels_match_the_per_cell_reference(self, labels):
+        n = len(labels)
+        d = np.array([[0.0, 0.1 + 0.2], [0.1 + 0.2, 0.0]])[:n, :n]
+        for M in (ProximityMatrix(labels, d, kind="dissimilarity"),
+                  ProximityMatrix(labels, 1 - d, kind="similarity"),
+                  CooccurrenceMatrix(labels, np.array([[3, 2**53 + 1], [2**53 + 1, 0]])[:n, :n])):
+            assert serialize_square_matrix(M) == per_cell_square_csv(M)
+        if labels == ("",):
+            assert serialize_square_matrix(M) == ",\n,3\n"
+
+    def test_signed_zeros_in_the_two_triangles_both_print_0(self):
+        d = np.array([[0.0, -0.0, 0.5], [0.0, 0.0, np.nan], [0.5, np.nan, 0.0]])
+        P = ProximityMatrix(("a", "b", "c"), d, kind="similarity")
+        assert np.signbit(P.data[0, 1]) and not np.signbit(P.data[1, 0])
+        assert serialize_square_matrix(P) == per_cell_square_csv(P) == (
+            ",a,b,c\na,0,0,0.5\nb,0,0,\nc,0.5,,0\n")
+
 
 CSV_UNREADABLE = [" a", "a ", "\ta", "\u2028", "a\rb"]
 
@@ -465,6 +487,41 @@ PARSE_ERRORS = {
                             "line 1: empty attribute label"),
     "records-none": (parse_records, "# a comment\n\n", MalformedLine,
                      "line 0: no record lines found"),
+    "records-no-tab": (parse_records, "d1\tA;B\nd2 A\n", MalformedLine,
+                       "line 2: expected doc_id<TAB>attributes"),
+    "records-duplicate-id": (parse_records, "d1\tA\nd2\tB\n d1 \tB\n", DuplicateDocId,
+                             "duplicate document id 'd1'"),
+    "records-empty-entry": (parse_records, "d1\tA; ;B\n", MalformedLine,
+                            "line 1: empty attribute entry"),
+    "records-invalid-count": (parse_records, "d1\tA: x ;B\n", MalformedLine,
+                              "line 1: invalid count 'x'"),
+    "records-negative-count": (parse_records, "d1\tB;A : -2\n", NegativeCount,
+                               "line 1: negative count for 'A'"),
+    "records-trailing-separator": (parse_records, "d1\tA;B;\n", MalformedLine,
+                                   "line 1: empty attribute entry"),
+    "records-no-entries": (parse_records, "d1\tA;B\nd2\t\n", MalformedLine,
+                           "line 2: empty attribute entry"),
+    # the first bad line in file order, and on it the first check in reading order
+    "records-bad-line-before-duplicate": (parse_records, "d1\tA\nd2\tA:x\nd1\tB\n",
+                                          MalformedLine, "line 2: invalid count 'x'"),
+    "records-duplicate-before-bad-entry": (parse_records, "d1\tA\nd1\tA:x\n", DuplicateDocId,
+                                           "duplicate document id 'd1'"),
+    "records-no-tab-before-duplicate": (parse_records, "d1\tA\nd1 A;B\nd1\tB\n", MalformedLine,
+                                        "line 2: expected doc_id<TAB>attributes"),
+    "records-empty-entry-before-bad-count": (parse_records, "d1\tA;;B:x\n", MalformedLine,
+                                             "line 1: empty attribute entry"),
+    "records-bad-count-before-empty-entry": (parse_records, "d1\tB:x;;A\n", MalformedLine,
+                                             "line 1: invalid count 'x'"),
+    "records-negative-count-before-empty-label": (parse_records, "d1\tA;:-1\n", NegativeCount,
+                                                  "line 1: negative count for ''"),
+    "records-invalid-count-on-empty-label": (parse_records, "d1\tA; :x\n", MalformedLine,
+                                             "line 1: invalid count 'x'"),
+    "records-after-comment-blank-and-crlf": (parse_records,
+                                             "# c\r\n\r\n \t \r\nd1\tA\r\nd2\tB:-1\r\n",
+                                             NegativeCount, "line 5: negative count for 'B'"),
+    "records-indented-hash-is-a-comment": (parse_records, "   # d0\tA:x\nd1\tA;B\nbad\n",
+                                           MalformedLine,
+                                           "line 3: expected doc_id<TAB>attributes"),
     "square-empty": (_square, "", MalformedLine, "line 0: empty matrix file"),
     "square-row-count": (_square, ",a,b\na,0,1\n", MalformedLine,
                          "line 0: expected 2 data rows, found 1"),
@@ -475,14 +532,14 @@ PARSE_ERRORS = {
     "square-asymmetric": (_square, ",a,b\na,0,0.5\nb,0.5000000001,0\n", AsymmetricInput,
                           "cells (0,1) and (1,0) differ by 1e-10"),
     "counts-infinite": (_counts, ",a,b\na,0,\nb,1e400,0\n", MalformedLine,
-                        "line 3: count cell 'a' must be an integer below 2**53, not inf"),
+                        "line 3: count cell 'a' must be an integer below 2**53, not 1e400"),
     "counts-fraction": (_counts, ",a,b\na,0,1.5\nb,,0\n", MalformedLine,
                         "line 2: count cell 'b' must be an integer below 2**53, not 1.5"),
     "counts-above-2**53": (_counts, ",a,b\na,0,\nb,9007199254740993,0\n", MalformedLine,
                            "line 3: count cell 'a' must be an integer below 2**53, "
-                           "not 9007199254740992.0"),
+                           "not 9007199254740993"),
     "counts-negative": (_counts, ",a,b,c\na,0,,\nb,1,0,\nc,-2,3,0\n", NegativeCount,
-                        "line 4: count cell 'a' must be non-negative, not -2.0"),
+                        "line 4: count cell 'a' must be non-negative, not -2"),
     "counts-unresolved": (_counts, ",a,b,c\na,0,,\nb,,0,\nc,1,1,0\n", MalformedLine,
                           "line 2: count cell 'b' is blank in both triangles"),
     "counts-after-blank-line": (_counts, ",a,b\n\na,0,\nb,1.5,0\n", MalformedLine,
@@ -510,3 +567,113 @@ def test_parse_error_is_named(case):
     assert str(err.value) == message
     if error is not ValueError:  # a named error carries its module
         assert err.value.qualified_name == f"ingest.{error.__name__}"
+
+
+def per_line_parse_records(text):
+    """Test-only reference: the line-at-a-time record parser the bulk parser replaced."""
+    rows, cells, seen, labels = [], [], set(), set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip("\r")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if "\t" not in line:
+            raise MalformedLine(line_no, "expected doc_id<TAB>attributes")
+        doc_id, rest = line.split("\t", 1)
+        doc_id = doc_id.strip()
+        if not doc_id:
+            raise MalformedLine(line_no, "empty document id")
+        if doc_id in seen:
+            raise DuplicateDocId(doc_id)
+        seen.add(doc_id)
+        counts = {}
+        for item in rest.split(";"):
+            item = item.strip()
+            if not item:
+                raise MalformedLine(line_no, "empty attribute entry")
+            if ":" in item:
+                label, count_text = item.split(":", 1)
+                label = label.strip()
+                try:
+                    count = int(count_text.strip())
+                except ValueError:
+                    raise MalformedLine(line_no, f"invalid count {count_text.strip()!r}") from None
+                if count < 0:
+                    raise NegativeCount(line_no, f"negative count for {label!r}")
+            else:
+                label, count = item, 1
+            if not label:
+                raise MalformedLine(line_no, "empty attribute label")
+            counts[label] = counts.get(label, 0) + count
+            labels.add(label)
+        rows.append(doc_id)
+        cells.append(counts)
+    if not rows:
+        raise MalformedLine(0, "no record lines found")
+    cols = tuple(sorted(labels))
+    data = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    index = {label: j for j, label in enumerate(cols)}
+    for i, counts in enumerate(cells):
+        for label, count in counts.items():
+            data[i, index[label]] = count
+    return OccurrenceMatrix(tuple(rows), cols, data)
+
+
+def record_outcome(parse, text):
+    """The parsed matrix, or the type and message of the error, which both belong to the contract."""
+    try:
+        A = parse(text)
+    except Exception as exc:  # any error: its type and message must match the reference's
+        return type(exc), str(exc)
+    data = np.asarray(A.data)
+    return A.rows, A.cols, str(data.dtype), data.tolist()
+
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\x1f", "\u3000"])
+
+
+def _padded(core):
+    return st.tuples(_SPACE, core, _SPACE).map("".join)
+
+
+_LABEL = st.sampled_from(["A", "B", "c d", "#e", "f\x00"])
+_COUNT = st.sampled_from(["0", "1", "2", "17", "+3", "1_0", "\u0663", "\x1f5"])
+_ENTRY = st.one_of(_padded(_LABEL), st.tuples(_padded(_LABEL), _padded(_COUNT)).map(":".join))
+_BAD_COUNT = st.sampled_from(["-1", "-20", "-0", "x", "", "2:3", "1 2", "9" * 5000])
+_BAD_ENTRY = st.one_of(_SPACE, _padded(_COUNT | _BAD_COUNT).map(":".__add__),
+                       st.tuples(_padded(_LABEL), _padded(_BAD_COUNT)).map(":".join))
+_ID_SPACE = st.sampled_from(["", " ", "\u3000"])  # a tab would end the id
+_BAD_ID = st.tuples(_ID_SPACE, st.sampled_from(["d1", "d2", "d3", "d4", "", "#d"]),
+                    _SPACE).map("".join)
+_GOOD_ID = st.tuples(_ID_SPACE, st.integers(0, 99).map("d{}".format), _SPACE).map("".join)
+_OTHER_LINES = ["", " ", "# note", "  #x\tA:-1"]
+_BAD_LINES = ["no tab", "d1\tA", "d9\t", "d8\tA;", "\tA"]
+
+
+@st.composite
+def record_texts(draw):
+    """Record files with comment, blank and CRLF lines, well formed or with a few flaws."""
+    malformed = draw(st.booleans())
+
+    def flawed():  # in a malformed text, one part in eight is bad
+        return malformed and draw(st.integers(0, 7)) == 0
+
+    ids = draw(st.lists(_BAD_ID if malformed else _GOOD_ID, min_size=1, max_size=6,
+                        unique_by=None if malformed else str.strip))
+    lines = []
+    for doc_id in ids:
+        lines += draw(st.lists(st.sampled_from(_OTHER_LINES), max_size=1))
+        entries = [draw(_BAD_ENTRY if flawed() else _ENTRY)
+                   for _ in range(draw(st.integers(1, 5)))]
+        lines.append(f"{doc_id}\t{';'.join(entries)}")
+        if flawed():
+            lines.append(draw(st.sampled_from(_BAD_LINES)))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=record_texts())
+@example(text="d1\tA:9223372036854775807;A:1;B\n")  # a cell past int64: OverflowError
+@example(text="d1\tA:9223372036854775808;B\n")
+@example(text="d1\tA:4611686018427387904;B:4611686018427387904\n")
+def test_bulk_record_parser_matches_the_per_line_reference(text):
+    assert record_outcome(parse_records, text) == record_outcome(per_line_parse_records, text)
