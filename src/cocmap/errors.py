@@ -25,7 +25,7 @@ class CocmapError(Exception):
 # ---------------------------------------------------------------------------
 
 class CountOverflow(CocmapError):
-    """A count product exceeded the unsigned 64-bit range."""
+    """A count is past its range: an input count past int64, or an affiliation past uint64."""
 
     module = "matrices"
 

@@ -23,14 +23,15 @@ import numpy as np
 
 from .errors import (
     AsymmetricInput,
+    CountOverflow,
     DuplicateDocId,
     LabelMismatch,
     MalformedLine,
     NegativeCount,
     UnknownDataset,
 )
-from .matrices import (FLOAT_EXACT_MAX, SYMMETRY_TOL, CooccurrenceMatrix, OccurrenceMatrix,
-                       ProximityMatrix)
+from .matrices import (FLOAT_EXACT_MAX, INT64_MAX, SYMMETRY_TOL, CooccurrenceMatrix,
+                       OccurrenceMatrix, ProximityMatrix)
 
 # Flying mileages between 10 American cities (lower triangle, row by row).
 _CITY_LABELS = (
@@ -127,10 +128,12 @@ def _read_records(text: str) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarr
     except ValueError:  # an invalid count
         values = None
     # checked in bulk (a line without a tab, an empty entry and an empty label
-    # all leave an empty label); if a check fails, the lines are checked one
-    # at a time in file order, which raises the first line's error
+    # all leave an empty label, and no cell can pass int64 while the largest
+    # count times the number of entries fits it); if a check fails, the lines
+    # are checked one at a time in file order, which raises the first error
     if values is None or not (all(labels) and all(ids) and len(set(ids)) == len(ids)
-                              and min(values) >= 0):
+                              and min(values) >= 0
+                              and max(values) * len(entries) <= INT64_MAX):
         seen: set[str] = set()
         for line_no, line in enumerate(text.splitlines(), start=1):
             if _is_record(line):
@@ -140,13 +143,9 @@ def _read_records(text: str) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarr
     codes = np.array(list(map(code.__getitem__, entries)))
     flat = np.repeat(np.arange(len(ids)) * len(cols), [rest.count(";") + 1 for rest in rests])
     flat += np.array(list(map(index.__getitem__, labels)))[codes]
-    counts = np.array(values, dtype=np.int64)[codes]  # OverflowError past the int64 range
-    # int64 sums are exact while no cell can pass 2**63 - 1; past that, sum
-    # Python integers, so that a cell out of range raises OverflowError
-    dtype = np.int64 if max(values) * len(entries) < 2**63 else object
-    data = np.zeros(len(ids) * len(cols), dtype=dtype)
-    np.add.at(data, flat, counts.astype(dtype, copy=False))
-    return tuple(ids), cols, data.astype(np.int64, copy=False).reshape(len(ids), len(cols))
+    data = np.zeros(len(ids) * len(cols), dtype=np.int64)  # every cell fits: exact sums
+    np.add.at(data, flat, np.array(values, dtype=np.int64)[codes])
+    return tuple(ids), cols, data.reshape(len(ids), len(cols))
 
 
 def _is_record(line: str) -> bool:
@@ -159,7 +158,8 @@ def _check_record_line(line_no: int, line: str, earlier_ids: set[str]) -> str:
     """Raise the error of a record line, checked in reading order; else return its id.
 
     The one place that words each record error; ``earlier_ids`` are the
-    document ids of the lines before it.
+    document ids of the lines before it.  A label whose counts on the line
+    sum past int64 raises :class:`CountOverflow` at the entry that passes it.
     """
     doc_id, tab, rest = line.partition("\t")
     if not tab:
@@ -169,12 +169,14 @@ def _check_record_line(line_no: int, line: str, earlier_ids: set[str]) -> str:
         raise MalformedLine(line_no, "empty document id")
     if doc_id in earlier_ids:
         raise DuplicateDocId(doc_id)
+    totals: dict[str, int] = {}
     for item in rest.split(";"):
         item = item.strip()
         if not item:
             raise MalformedLine(line_no, "empty attribute entry")
         label, colon, count_text = item.partition(":")
         label = label.strip()
+        count = 1
         if colon:
             count_text = count_text.strip()
             try:
@@ -185,7 +187,15 @@ def _check_record_line(line_no: int, line: str, earlier_ids: set[str]) -> str:
                 raise NegativeCount(line_no, f"negative count for {label!r}")
         if not label:
             raise MalformedLine(line_no, "empty attribute label")
+        totals[label] = totals.get(label, 0) + count
+        if totals[label] > INT64_MAX:
+            raise _past_int64(line_no, label)
     return doc_id
+
+
+def _past_int64(line_no: int, label: str) -> CountOverflow:
+    """The one wording of a text count past int64, for the record and rectangular readers."""
+    return CountOverflow(f"line {line_no}: count for {label!r} exceeds the int64 range")
 
 
 _RECORD_SEPARATORS = (":", ";", "\t")
@@ -384,7 +394,10 @@ def _first_fields(labels) -> list[str]:
 
 
 def parse_rectangular_matrix(text: str) -> OccurrenceMatrix:
-    """Parse a labeled rectangular CSV count matrix (documents x attributes)."""
+    """Parse a labeled rectangular CSV count matrix (documents x attributes).
+
+    A count past int64 raises :class:`CountOverflow` naming its line and column.
+    """
     table, lines = _read_csv_rows(text)
     if not table:
         raise MalformedLine(0, "empty matrix file")
@@ -401,6 +414,8 @@ def parse_rectangular_matrix(text: str) -> OccurrenceMatrix:
             raise MalformedLine(line_no, "count cells must be integers") from None
         if any(v < 0 for v in values):
             raise NegativeCount(line_no, "negative count")
+        if max(values, default=0) > INT64_MAX:
+            raise _past_int64(line_no, next(c for c, v in zip(cols, values) if v > INT64_MAX))
         data.append(values)
     return OccurrenceMatrix(tuple(rows), cols, np.array(data, dtype=np.int64))
 

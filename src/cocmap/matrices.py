@@ -10,10 +10,16 @@ Two matrix families are distinguished throughout the package:
 A third type, :class:`ProximityMatrix`, carries real-valued similarities or
 dissimilarities and is the admissible input class for multidimensional
 scaling.  All three are immutable after construction.
+
+Integer policy: a count in memory is an exact non-negative integer, int64
+wherever it fits, and Python integers (object dtype) only past int64, as a
+count product past 2**63 - 1 or a caller's array of such integers can be;
+the text readers refuse a count past int64 by name (``CountOverflow``).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +28,7 @@ from .errors import CountOverflow
 
 U64_MAX = 2**64 - 1
 FLOAT_EXACT_MAX = 2**53  # integers below this are exact in float64
+INT64_MAX = 2**63 - 1
 
 DIAGONAL_POLICIES = ("raw", "zeroed")
 PROXIMITY_KINDS = ("similarity", "dissimilarity")
@@ -36,21 +43,23 @@ def _as_labels(labels, what: str) -> tuple[str, ...]:
     return out
 
 
+def _is_integral(v) -> bool:
+    return isinstance(v, numbers.Integral) or (isinstance(v, float) and v.is_integer())
+
+
 def _as_count_array(data) -> np.ndarray:
     a = np.asarray(data)
-    if a.dtype == object:
-        pass  # exact Python integers, kept as-is
-    elif np.issubdtype(a.dtype, np.floating):
-        if not np.all(a == np.floor(a)):
-            raise ValueError("count matrix entries must be integers")
-        a = a.astype(np.int64)
-    elif np.issubdtype(a.dtype, np.bool_):
-        a = a.astype(np.int64)
-    elif not np.issubdtype(a.dtype, np.integer):
+    kind = a.dtype.kind  # b bool, i and u integer, f float, O Python objects
+    if (kind not in "biufO" or (kind == "f" and not np.all(a == np.floor(a)))
+            or (kind == "O" and not all(map(_is_integral, a.flat)))):
         raise ValueError("count matrix entries must be integers")
     if np.any(np.asarray(a < 0)):
         raise ValueError("count matrix entries must be non-negative")
-    return a
+    if kind == "f" and not np.all(a < 2**63):  # the int64 cast must hold them
+        raise ValueError("float count matrix entries must be below 2**63")
+    if kind in "uO" and a.max(initial=0) > INT64_MAX:
+        return np.frompyfunc(int, 1, 1)(a)  # Python integers: a value is past int64
+    return a.astype(np.int64, copy=False)
 
 
 def _freeze(a) -> np.ndarray:
@@ -165,26 +174,27 @@ class ProximityMatrix:
 def count_product(data) -> np.ndarray:
     """Exact ``data.T @ data`` for a non-negative documents x attributes count array.
 
-    Every column product of counts in the package comes from here.  While
-    ``n_docs * max**2``, a bound on every entry and partial sum, is below
-    2**53, the product runs in float64 BLAS, exact at that size, and is cast
-    to int64.  Above it (or for object input) Python integers are summed,
-    hundreds of times slower than BLAS, into an object array.
+    Every column product of counts in the package comes from here, exact
+    at any size: the counts are cut into base-``2**k`` digits, ``k`` the
+    widest with ``n_docs * (2**k - 1)**2 < 2**53``, whose pair products
+    float64 BLAS computes exactly (Ozaki, Ogita, Oishi & Rump, 2012), and
+    the shifted products are summed in int64 while ``n_docs * max**2`` is
+    below 2**63, else in Python integers.  Below 2**53 the counts are one digit.
     """
     data = np.asarray(data)
-    if data.dtype == object:
-        bound = FLOAT_EXACT_MAX  # force the exact path
-    else:
-        m = int(data.max(initial=0))
-        bound = data.shape[0] * m * m
-    if bound < FLOAT_EXACT_MAX:
-        f = data.astype(np.float64)
-        return (f.T @ f).astype(np.int64)
-    exact = np.frompyfunc(int, 1, 1)(data)
-    n = data.shape[1]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):  # row i of the upper triangle, mirrored
-        out[i, i:] = out[i:, i] = exact[:, i] @ exact[:, i:]
+    n, top = data.shape[0], int(data.max(initial=0))
+    bound = n * top * top
+    k = (top.bit_length() if bound < FLOAT_EXACT_MAX  # one digit: the counts themselves
+         else max(w for w in range(1, 54) if n * ((1 << w) - 1) ** 2 < FLOAT_EXACT_MAX))
+    shifts = range(0, top.bit_length(), max(k, 1))
+    digits = [(data if len(shifts) == 1 else (data >> s) & ((1 << k) - 1)).astype(np.float64)
+              for s in shifts]
+    dtype = np.int64 if bound <= INT64_MAX else object
+    out = np.zeros((data.shape[1],) * 2, dtype=dtype)
+    for a, x in enumerate(digits):
+        for b in range(a, len(digits)):
+            p = (x.T @ digits[b]).astype(np.int64).astype(dtype, copy=False)
+            out += (p if a == b else p + p.T) << (shifts[a] + shifts[b])
     return out
 
 

@@ -100,14 +100,14 @@ def jaccard_columns(A: OccurrenceMatrix) -> ProximityMatrix:
 def euclidean_columns(A: OccurrenceMatrix) -> ProximityMatrix:
     """Euclidean distance between attribute columns (a dissimilarity).
 
-    The squared distance ``sq_i + sq_j - 2 G_ij`` is formed in exact
-    integers from :func:`count_product`'s ``G`` (``sq`` is its diagonal),
-    so each distance is the square root of the exact sum, rounded once;
-    equal columns are at exactly 0.
+    The squared distance ``(sq_i - G_ij) + (sq_j - G_ij)``, whose terms stay
+    in int64 where ``G`` does, is formed in exact integers from
+    :func:`count_product`'s ``G`` (``sq`` is its diagonal), so each distance
+    is the square root of the exact sum, rounded once; equal columns are at exactly 0.
     """
     G = count_product(A.data)
     sq = np.diagonal(G)
-    return ProximityMatrix(A.cols, np.sqrt((sq[:, None] + sq - 2 * G).astype(float)),
+    return ProximityMatrix(A.cols, np.sqrt(((sq[:, None] - G) + (sq - G)).astype(float)),
                            kind="dissimilarity")
 
 

@@ -536,6 +536,18 @@ CLI_OUTCOMES = {
                               {"counts.csv": ",a,b\na,0,\nb,1e400,0\n"}, 1,
                               "error: ingest.MalformedLine: line 3: count cell 'a' "
                               "must be an integer below 2**53, not 1e400\n"),
+    "factor-record-count-past-int64": (["factor", "--in", "r.txt"],
+                                       {"r.txt": "d1\tA:9223372036854775808;B\n"}, 1,
+                                       "error: matrices.CountOverflow: line 1: count for 'A' "
+                                       "exceeds the int64 range\n"),
+    "factor-record-sum-past-int64": (["factor", "--in", "r.txt"],
+                                     {"r.txt": "d1\tA;B\nd2\tA:9223372036854775807;A:1\n"}, 1,
+                                     "error: matrices.CountOverflow: line 2: count for 'A' "
+                                     "exceeds the int64 range\n"),
+    "build-matrix-count-past-int64": (["build", "--in", "m.csv", "--format", "matrix"],
+                                      {"m.csv": ",a,b\nd1,9223372036854775808,1\n"}, 1,
+                                      "error: matrices.CountOverflow: line 2: count for 'a' "
+                                      "exceeds the int64 range\n"),
     "pipeline-no-step": (["pipeline", "--builtin", "figure2", "--steps", ","], {}, 2,
                          "usage error: pipeline needs at least one step\n"),
     "mds-cities-as-similarity": (["mds", "--builtin", "cities", "--kind", "sim"], {}, 0, ""),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cocmap import (
     AsymmetricInput,
     CooccurrenceMatrix,
+    CountOverflow,
     DuplicateDocId,
     LabelMismatch,
     MalformedLine,
@@ -522,6 +523,10 @@ PARSE_ERRORS = {
     "records-indented-hash-is-a-comment": (parse_records, "   # d0\tA:x\nd1\tA;B\nbad\n",
                                            MalformedLine,
                                            "line 3: expected doc_id<TAB>attributes"),
+    "records-count-past-int64": (parse_records, "d0\tB\nd1\tA:9223372036854775808;B\n",
+                                 CountOverflow, "line 2: count for 'A' exceeds the int64 range"),
+    "records-sum-past-int64": (parse_records, "d1\tA:9223372036854775807;B;A:1;C:x\n",
+                               CountOverflow, "line 1: count for 'A' exceeds the int64 range"),
     "square-empty": (_square, "", MalformedLine, "line 0: empty matrix file"),
     "square-row-count": (_square, ",a,b\na,0,1\n", MalformedLine,
                          "line 0: expected 2 data rows, found 1"),
@@ -555,6 +560,8 @@ PARSE_ERRORS = {
                                 MalformedLine, "line 3: count cells must be integers"),
     "matrix-negative": (parse_rectangular_matrix, ",a,b\nd1,1,-2\n", NegativeCount,
                         "line 2: negative count"),
+    "matrix-past-int64": (parse_rectangular_matrix, ",a,b\nd1,1,2\nd2,0,9223372036854775808\n",
+                          CountOverflow, "line 3: count for 'b' exceeds the int64 range"),
 }
 
 
@@ -566,7 +573,8 @@ def test_parse_error_is_named(case):
     assert type(err.value) is error
     assert str(err.value) == message
     if error is not ValueError:  # a named error carries its module
-        assert err.value.qualified_name == f"ingest.{error.__name__}"
+        module = "matrices." if error is CountOverflow else "ingest."
+        assert err.value.qualified_name == module + error.__name__
 
 
 def per_line_parse_records(text):
@@ -604,6 +612,8 @@ def per_line_parse_records(text):
             if not label:
                 raise MalformedLine(line_no, "empty attribute label")
             counts[label] = counts.get(label, 0) + count
+            if counts[label] > 2**63 - 1:
+                raise CountOverflow(f"line {line_no}: count for {label!r} exceeds the int64 range")
             labels.add(label)
         rows.append(doc_id)
         cells.append(counts)
@@ -672,8 +682,9 @@ def record_texts(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(text=record_texts())
-@example(text="d1\tA:9223372036854775807;A:1;B\n")  # a cell past int64: OverflowError
+@example(text="d1\tA:9223372036854775807;A:1;B\n")  # a cell past int64: CountOverflow
 @example(text="d1\tA:9223372036854775808;B\n")
+@example(text="d1\tA:4611686018427387904;A:4611686018427387903;B\n")  # 2**63 - 1: fits
 @example(text="d1\tA:4611686018427387904;B:4611686018427387904\n")
 def test_bulk_record_parser_matches_the_per_line_reference(text):
     assert record_outcome(parse_records, text) == record_outcome(per_line_parse_records, text)

@@ -16,6 +16,7 @@ from cocmap import (
     builtin_dataset,
     cooccurrence,
 )
+from cocmap.matrices import count_product
 
 
 def brute_force_cooccurrence(data, diagonal_policy="raw"):
@@ -63,6 +64,27 @@ class TestOccurrenceMatrix:
         with pytest.raises(ValueError):
             OccurrenceMatrix(("d1",), ("A", "B"), [[1.5, 0]])
 
+    def test_integral_floats_become_int64_counts(self):
+        A = OccurrenceMatrix(("d1", "d2"), ("A", "B"), [[1.0, 0.0], [2.0, 3.0]])
+        assert A.data.dtype == np.int64
+        assert A.data.tolist() == [[1, 0], [2, 3]]
+        assert (A.n_docs, A.n_attrs) == (2, 2)
+
+    def test_python_integers_that_fit_become_int64(self):
+        fits = np.array([[1, 2**63 - 1]], dtype=object)
+        assert OccurrenceMatrix(("d1",), ("A", "B"), fits).data.dtype == np.int64
+        past = np.array([[1, 2**63]], dtype=object)
+        A = OccurrenceMatrix(("d1",), ("A", "B"), past)
+        assert A.data.dtype == object
+        assert A.data.tolist() == [[1, 2**63]]
+
+    @pytest.mark.parametrize("data", [np.array([[3.0, 2**70]], dtype=object), [[2**70, 3.0]]])
+    def test_integral_python_floats_among_large_integers_are_exact_counts(self, data):
+        A = OccurrenceMatrix(("d1",), ("A", "B"), data)
+        assert A.data.dtype == object
+        assert all(type(v) is int for v in A.data.flat)
+        assert sorted(A.data.flat) == [3, 2**70]
+
     def test_data_is_immutable(self):
         A = builtin_dataset("figure2")
         with pytest.raises(ValueError):
@@ -73,6 +95,9 @@ class TestCooccurrenceMatrix:
     def test_rejects_asymmetric_data(self):
         with pytest.raises(ValueError):
             CooccurrenceMatrix(("A", "B"), [[0, 1], [2, 0]])
+
+    def test_size_is_the_label_count(self):
+        assert CooccurrenceMatrix(("A", "B", "C"), np.eye(3, dtype=np.int64)).n == 3
 
 
 class TestProximityMatrix:
@@ -280,7 +305,7 @@ class TestCountProductExactness:
         a = 2**26 + 1
         A = OccurrenceMatrix(("d1", "d2"), ("x", "y"), np.array([[a, a], [a, a - 1]]))
         F = np.asarray(affiliations(A).data)
-        assert F.dtype == object
+        assert F.dtype == np.int64
         off = a * a + a * (a - 1)
         assert float(off) != off  # float64 BLAS would have rounded this entry
         assert F[0, 1] == F[1, 0] == off
@@ -295,6 +320,55 @@ class TestCountProductExactness:
         assert F.dtype == np.int64
         assert int(F[0, 1]) == a * a + a * (a - 1)
         assert int(F[1, 1]) == a * a + (a - 1) ** 2
+
+    def test_counts_past_the_float_bound_sum_in_int64(self):
+        # 600 * max**2 passes 2**53 where max > 3.875e6; every product stays below 2**63
+        data = np.random.default_rng(9).integers(0, 4 * 10**6, size=(600, 40))
+        assert 600 * int(data.max()) ** 2 >= 2**53
+        G = count_product(data)
+        assert G.dtype == np.int64
+        assert G.tolist() == python_integer_product(data)
+
+    @pytest.mark.parametrize("n_docs, top, dtype", [
+        (1, 3037000499, np.int64),  # 3037000499**2 < 2**63 <= 3037000500**2
+        (1, 3037000500, object),
+        (2, 2**31 - 1, np.int64),   # 2 * (2**31)**2 == 2**63
+        (2, 2**31, object),
+    ])
+    def test_int64_bound_sides(self, n_docs, top, dtype):
+        data = np.array([[top, top - 1, 1]] * n_docs)
+        G = count_product(data)
+        assert G.dtype == dtype
+        assert G.tolist() == python_integer_product(data)
+        assert int(G[0, 0]) == n_docs * top * top
+
+
+def python_integer_product(data):
+    """Reference: ``data.T @ data`` summed in Python integers, as nested lists."""
+    cols = list(zip(*np.asarray(data).tolist()))
+    return [[sum(int(a) * int(b) for a, b in zip(u, v)) for v in cols] for u in cols]
+
+
+@st.composite
+def count_arrays(draw):
+    """Counts of 1-62 bits over 1-300 documents; one array in three is Python integers
+    shifted up by 1-40 bits, mostly past int64."""
+    shape = (draw(st.integers(1, 300)), draw(st.integers(1, 6)))
+    bits = draw(st.integers(1, 62))
+    seed = draw(st.integers(0, 2**32 - 1))
+    data = np.random.default_rng(seed).integers(0, 2**bits, size=shape, dtype=np.int64)
+    if draw(st.integers(0, 2)) == 0:
+        data = data.astype(object) * 2 ** draw(st.integers(1, 40)) + 1
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(count_arrays())
+def test_count_product_matches_python_integers(data):
+    G = count_product(data)
+    top = int(data.max())
+    assert G.dtype == (np.int64 if data.shape[0] * top * top < 2**63 else object)
+    assert G.tolist() == python_integer_product(data)
 
 
 class TestBinarize:
@@ -358,6 +432,16 @@ _FIGURE2 = builtin_dataset("figure2")
 MATRIX_ERRORS = {
     "count-dtype": (lambda: OccurrenceMatrix(("d",), ("a", "b"), np.array([["1", "2"]])),
                     ValueError, "count matrix entries must be integers"),
+    "count-object-fraction": (lambda: OccurrenceMatrix(("d",), ("a", "b"),
+                                                       np.array([[1.5, 2**70]], dtype=object)),
+                              ValueError, "count matrix entries must be integers"),
+    "count-float-infinite": (lambda: OccurrenceMatrix(("d",), ("a", "b"), [[np.inf, 0.0]]),
+                             ValueError, "float count matrix entries must be below 2**63"),
+    "count-float-negative-infinite": (lambda: OccurrenceMatrix(("d",), ("a", "b"),
+                                                               [[-np.inf, 0.0]]),
+                                      ValueError, "count matrix entries must be non-negative"),
+    "count-float-past-int64": (lambda: CooccurrenceMatrix(("a", "b"), [[2.0**63, 0], [0, 1]]),
+                               ValueError, "float count matrix entries must be below 2**63"),
     "occurrence-shape": (lambda: OccurrenceMatrix(("d",), ("a", "b"), [[1, 2, 3]]), ValueError,
                          "data shape (1, 3) does not match 1 rows x 2 columns"),
     "no-documents": (lambda: OccurrenceMatrix((), ("a", "b"), np.zeros((0, 2), dtype=int)),

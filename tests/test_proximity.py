@@ -323,6 +323,14 @@ def test_euclidean_columns_is_bitwise_the_reference_formula(seed):
     assert np.array_equal(D.view(np.int64), euclidean_reference(A.data).view(np.int64))
 
 
+def test_euclidean_columns_exact_where_squared_norms_sum_past_int64():
+    # one document: G is int64 (3037000499**2 < 2**63), but sq_x + sq_y is not
+    a = 3037000499
+    A = OccurrenceMatrix(("d",), ("x", "y", "z"), np.array([[a, a - 1, 0]]))
+    D = np.asarray(euclidean_columns(A).data)
+    assert D.tolist() == [[0.0, 1.0, a], [1.0, 0.0, a - 1], [a, a - 1, 0.0]]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_cosine_columns_is_bitwise_the_exact_product_formula(seed):
     A = large_counts(seed)
