@@ -103,12 +103,12 @@ def parse_records(text: str) -> OccurrenceMatrix:
     distinct labels; rows keep file order.  A malformed file raises the
     error of its first bad line in file order (:func:`_check_record_line`).
     """
-    # the parse's temporaries are freed before the matrix copies the counts
+    # the parse's temporaries are freed before the matrix takes the counts
     return OccurrenceMatrix(*_read_records(text))
 
 
 def _read_records(text: str) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """The document ids, the sorted labels and the int64 counts of a record file."""
+    """The document ids, the sorted labels and the frozen int64 counts of a record file."""
     records = list(filter(_is_record, text.splitlines()))
     if not records:
         raise MalformedLine(0, "no record lines found")
@@ -143,9 +143,10 @@ def _read_records(text: str) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarr
     codes = np.array(list(map(code.__getitem__, entries)))
     flat = np.repeat(np.arange(len(ids)) * len(cols), [rest.count(";") + 1 for rest in rests])
     flat += np.array(list(map(index.__getitem__, labels)))[codes]
-    data = np.zeros(len(ids) * len(cols), dtype=np.int64)  # every cell fits: exact sums
-    np.add.at(data, flat, np.array(values, dtype=np.int64)[codes])
-    return tuple(ids), cols, data.reshape(len(ids), len(cols))
+    data = np.zeros((len(ids), len(cols)), dtype=np.int64)  # every cell fits: exact sums
+    np.add.at(data.reshape(-1), flat, np.array(values, dtype=np.int64)[codes])
+    data.flags.writeable = False  # frozen, so the matrix keeps it instead of a copy
+    return tuple(ids), cols, data
 
 
 def _is_record(line: str) -> bool:

@@ -11,6 +11,13 @@ A third type, :class:`ProximityMatrix`, carries real-valued similarities or
 dissimilarities and is the admissible input class for multidimensional
 scaling.  All three are immutable after construction.
 
+Copy rule: each stores a frozen array, read-only, C-contiguous and owning
+its memory.  A count matrix keeps an array that is already frozen, as the
+record parser's counts and the products of :func:`cooccurrence` and
+:func:`affiliations` are, and copies any other (a writeable array or any
+view), so a caller's array stays writeable and unshared.  A proximity
+matrix works on a float copy of its own and freezes that in place.
+
 Integer policy: a count in memory is an exact non-negative integer, int64
 wherever it fits, and Python integers (object dtype) only past int64, as a
 count product past 2**63 - 1 or a caller's array of such integers can be;
@@ -63,7 +70,15 @@ def _as_count_array(data) -> np.ndarray:
 
 
 def _freeze(a) -> np.ndarray:
-    """A read-only C-contiguous copy of ``a``; the caller's array stays writeable."""
+    """``a`` frozen: read-only, C-contiguous and owning its memory.
+
+    An array already frozen is kept: no view can write to it, and whoever
+    holds it could set its flag back just as anyone could on a copy.  Any
+    other array (writeable, or any view) is copied; the caller's stays writeable.
+    """
+    if (type(a) is np.ndarray and not a.flags.writeable and a.flags.c_contiguous
+            and a.flags.owndata):
+        return a
     a = np.array(a, order="C")
     a.flags.writeable = False
     return a
@@ -142,7 +157,7 @@ class ProximityMatrix:
         object.__setattr__(self, "labels", _as_labels(self.labels, "object"))
         if self.kind not in PROXIMITY_KINDS:
             raise ValueError(f"unknown proximity kind {self.kind!r}")
-        data = np.array(self.data, dtype=float)  # a copy: the mean is stored in place
+        data = np.array(self.data, dtype=float, order="C")  # its own: changed in place
         n = len(self.labels)
         if data.shape != (n, n):
             raise ValueError(f"data shape {data.shape} does not match {n} labels")
@@ -161,10 +176,11 @@ class ProximityMatrix:
             diag = np.diagonal(data)
             if np.any(np.abs(diag[~np.isnan(diag)]) > SYMMETRY_TOL):
                 raise ValueError("dissimilarity diagonal must be zero")
-            data = np.where(np.eye(n, dtype=bool), 0.0, data)
+            np.fill_diagonal(data, 0.0)
         unequal = data != data.T  # cells off by rounding are small: their mean cannot overflow
         data[unequal] = (data[unequal] + data.T[unequal]) / 2
-        object.__setattr__(self, "data", _freeze(data))
+        data.flags.writeable = False  # frozen in place: no second copy
+        object.__setattr__(self, "data", data)
 
     @property
     def n(self) -> int:
@@ -211,6 +227,7 @@ def cooccurrence(A: OccurrenceMatrix, diagonal_policy: str = "raw") -> Cooccurre
     counts = count_product(np.asarray(A.data) > 0)
     if diagonal_policy == "zeroed":
         np.fill_diagonal(counts, 0)
+    counts.flags.writeable = False  # built here: the matrix keeps it
     return CooccurrenceMatrix(A.cols, counts)
 
 
@@ -230,6 +247,7 @@ def affiliations(A: OccurrenceMatrix) -> CooccurrenceMatrix:
         raise CountOverflow(
             f"count for ({A.cols[i]!r}, {A.cols[j]!r}) exceeds the unsigned 64-bit range"
         )
+    counts.flags.writeable = False  # built here: the matrix keeps it
     return CooccurrenceMatrix(A.cols, counts)
 
 

@@ -14,23 +14,7 @@ import warnings
 import numpy as np
 
 from .errors import NegativeResult, OutOfRange, ZeroNormColumn, ZeroVarianceColumn
-from .matrices import OccurrenceMatrix, ProximityMatrix, count_product
-
-
-def _column_pearson(X: np.ndarray, labels) -> np.ndarray:
-    # population form (divide by n in covariance and variances); the ratio is
-    # identical to the sample form but fixes the arithmetic for reproducibility
-    n = X.shape[0]
-    centered = X - X.mean(axis=0)
-    var = (centered**2).sum(axis=0) / n
-    for j, v in enumerate(var):
-        if v == 0.0:
-            raise ZeroVarianceColumn(labels[j])
-    cov = (centered.T @ centered) / n
-    r = cov / np.sqrt(np.outer(var, var))
-    r = np.clip(r, -1.0, 1.0)
-    np.fill_diagonal(r, 1.0)
-    return r
+from .matrices import INT64_MAX, OccurrenceMatrix, ProximityMatrix, count_product
 
 
 def pearson_columns(A: OccurrenceMatrix) -> ProximityMatrix:
@@ -38,10 +22,24 @@ def pearson_columns(A: OccurrenceMatrix) -> ProximityMatrix:
 
     Returns a similarity matrix with values in [-1, 1] and a unit diagonal.
     Constant columns raise :class:`ZeroVarianceColumn`; they are never
-    silently dropped or imputed.
+    silently dropped or imputed.  The correlation comes from exact moments:
+    with ``G`` :func:`count_product`'s column products, ``s`` the column
+    sums and ``n`` the document count, ``r_ij = (n G_ij - s_i s_j) /
+    sqrt((n G_ii - s_i**2) (n G_jj - s_j**2))``.  Numerator and variances
+    are exact integers, int64 while ``n**2 * max**2`` fits and Python
+    integers past it, so a column is constant exactly when its variance is 0.
     """
-    X = np.asarray(A.data, dtype=float)
-    r = _column_pearson(X, A.cols)
+    n = A.n_docs
+    exact = np.int64 if (n * int(A.data.max(initial=0))) ** 2 <= INT64_MAX else object
+    s = A.data.sum(axis=0, dtype=exact)
+    num = n * count_product(A.data).astype(exact, copy=False) - np.outer(s, s)
+    var = np.diagonal(num)
+    for j, v in enumerate(var):
+        if v == 0:
+            raise ZeroVarianceColumn(A.cols[j])
+    root = np.sqrt(var.astype(float))
+    r = np.clip(num.astype(float) / np.outer(root, root), -1.0, 1.0)
+    np.fill_diagonal(r, 1.0)
     return ProximityMatrix(A.cols, r, kind="similarity")
 
 
@@ -147,7 +145,22 @@ def pearson_of_proximities(P: ProximityMatrix) -> ProximityMatrix:
     re-normalizes each column against its mean and generally distorts the
     configuration recovered by scaling; it is provided to let callers
     demonstrate exactly that effect, not as a recommended preprocessing step.
+    The entries are floats, not counts, so the columns are centered in
+    float64 (population form) rather than taken from exact moments.  A
+    missing entry raises ``ValueError`` naming its pair: one NaN would
+    otherwise spread through whole rows and columns of the correlation.
     """
     X = np.asarray(P.data, dtype=float)
-    r = _column_pearson(X, P.labels)
+    missing = np.argwhere(np.isnan(X))
+    if len(missing):
+        i, j = missing[0]
+        raise ValueError(f"proximity between {P.labels[i]!r} and {P.labels[j]!r} is missing")
+    centered = X - X.mean(axis=0)
+    var = (centered**2).sum(axis=0) / P.n
+    for j, v in enumerate(var):
+        if v == 0.0:
+            raise ZeroVarianceColumn(P.labels[j])
+    r = (centered.T @ centered) / P.n / np.sqrt(np.outer(var, var))
+    r = np.clip(r, -1.0, 1.0)
+    np.fill_diagonal(r, 1.0)
     return ProximityMatrix(P.labels, r, kind="similarity")

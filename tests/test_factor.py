@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cocmap import (
     LoadingsMatrix,
     NoConvergence,
+    ProximityMatrix,
     builtin_dataset,
     eigen_symmetric,
     factor_scatter_coords,
@@ -103,6 +104,10 @@ def best_pair_gain(L, a, b):
 
 
 class TestEigenSymmetric:
+    def test_empty_matrix_has_empty_spectrum(self):
+        values, vectors = eigen_symmetric(np.zeros((0, 0)))
+        assert values.shape == (0,) and vectors.shape == (0, 0)
+
     def test_identity(self):
         values, vectors = eigen_symmetric(np.eye(4))
         np.testing.assert_allclose(values, np.ones(4))
@@ -185,6 +190,10 @@ class TestPca:
         L = pca_from_correlation(R, ("x1", "x2"), n_factors=1)
         np.testing.assert_allclose(np.abs(L.loadings[:, 0]), [1.0, 1.0], atol=1e-9)
         assert L.explained_variance_pct[0] == pytest.approx(100.0, abs=1e-9)
+
+    def test_proximity_matrix_lends_its_labels(self):
+        R = ProximityMatrix(("x1", "x2"), [[1.0, 0.5], [0.5, 1.0]], kind="similarity")
+        assert pca_from_correlation(R).variable_labels == ("x1", "x2")
 
     def test_identical_citation_columns_load_identically(self):
         A = builtin_dataset("figure2")

@@ -1,5 +1,7 @@
 """Matrix types and the occurrence -> co-occurrence derivations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,11 @@ from cocmap import (
     binarize,
     builtin_dataset,
     cooccurrence,
+    parse_records,
+    pearson_columns,
 )
-from cocmap.matrices import count_product
+from cocmap.ingest import _read_records
+from cocmap.matrices import _freeze, count_product
 
 
 def brute_force_cooccurrence(data, diagonal_policy="raw"):
@@ -389,6 +394,12 @@ class TestBinarize:
         assert np.array_equal(np.asarray(binarize(M).data), (data > 0).astype(int))
 
 
+def _read_only_view(a):
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def _frozen_copies():
     """(name, caller's array, build the object from it, read the object's array)."""
     from cocmap import Configuration, LayoutResult, LoadingsMatrix
@@ -412,6 +423,13 @@ def _frozen_copies():
         ("layout", coords.copy(), lambda a: LayoutResult(a, 0.0, 0), lambda r: r.positions),
         ("loadings", loadings, lambda a: LoadingsMatrix(("x", "y"), a, (1.0,), (50.0,)),
          lambda m: m.loadings),
+        # read-only, but a view: the caller can still write through its own array
+        ("occurrence-read-only-view", counts.copy(),
+         lambda a: OccurrenceMatrix(("d1", "d2"), ("x", "y"), _read_only_view(a)),
+         lambda m: m.data),
+        # count_product's own array is the caller's until a derivation freezes it
+        ("cooccurrence-of-count-product", count_product(counts),
+         lambda a: CooccurrenceMatrix(("x", "y"), a), lambda m: m.data),
     ]
 
 
@@ -422,8 +440,51 @@ def test_construction_leaves_the_callers_array_writeable(case):
     before = np.array(stored(obj))
     assert array.flags.writeable
     assert not stored(obj).flags.writeable
+    assert not np.shares_memory(stored(obj), array)
     array[0, 0] += 1
     assert np.array_equal(stored(obj), before)
+
+
+def test_construction_keeps_a_frozen_array():
+    ids, cols, counts = _read_records("d1\tx;y:2\nd2\ty\n")
+    assert not counts.flags.writeable
+    assert OccurrenceMatrix(ids, cols, counts).data is counts
+    product = _freeze(count_product(counts))
+    assert CooccurrenceMatrix(cols, product).data is product
+
+
+def test_a_frozen_array_out_of_c_order_is_copied():
+    counts = np.asfortranarray([[1, 0], [2, 3]])
+    counts.flags.writeable = False
+    stored = OccurrenceMatrix(("d1", "d2"), ("x", "y"), counts).data
+    assert stored is not counts and stored.flags.c_contiguous and not stored.flags.writeable
+
+
+def _records_text(docs, attrs, seed):
+    rng = np.random.default_rng(seed)
+    lines = []
+    for d in range(docs):
+        k = int(rng.integers(2, 11))
+        labels, counts = rng.choice(attrs, size=k, replace=False), rng.integers(1, 4, size=k)
+        lines.append(f"d{d}\t" + ";".join(f"a{j}:{c}" for j, c in zip(labels, counts)))
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_and_pearson_peak_under_three_copies_of_the_counts():
+    # the counts are 4000 x 120 int64 (3.7 MiB); the parsed array is kept and
+    # count_product makes one float64 copy, so the peak was 7.9 MiB.  Copying
+    # the parsed counts into the matrix and centering a float copy for Pearson
+    # (a float copy, a centered copy and its square) peaked at 14.9 MiB.
+    text = _records_text(4000, 120, seed=7)
+    tracemalloc.start()
+    try:
+        A = parse_records(text)
+        pearson_columns(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert A.data.shape == (4000, 120)
+    assert peak < 3 * A.data.nbytes
 
 
 _FIGURE2 = builtin_dataset("figure2")

@@ -555,6 +555,15 @@ class TestDisparities:
             assert not np.diagonal(dh).any()
             assert np.all(dh >= 0)
 
+    def test_coincident_points_fall_back_to_the_dissimilarities(self):
+        # all distances 0: no level can fit a positive disparity, so the
+        # dissimilarities themselves are returned instead of all zeros
+        delta = np.array([[0, 1, 2], [1, 0, 3], [2, 3, 0]], dtype=float)
+        mask = ~np.eye(3, dtype=bool)
+        for level in ("ratio", "interval", "ordinal"):
+            dh = transform_disparities(delta, np.zeros((3, 3)), level, mask)
+            np.testing.assert_array_equal(dh, delta)
+
     def test_ordinal_monotone_in_rank_order(self):
         rng = np.random.default_rng(12)
         P = random_dissimilarity(rng, 7)

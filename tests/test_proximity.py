@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cocmap import (
     NegativeResult,
@@ -78,6 +81,88 @@ class TestPearsonColumns:
             assert np.all(np.abs(R) <= 1.0 + 1e-12)
             np.testing.assert_allclose(R, R.T, atol=0)
             np.testing.assert_allclose(np.diagonal(R), 1.0, atol=0)
+
+
+def centered_pearson(data):
+    """The float64 centered-column Pearson correlation (population form), clipped, unit diagonal."""
+    X = np.asarray(data, dtype=float)
+    centered = X - X.mean(axis=0)
+    var = (centered**2).sum(axis=0)
+    r = np.clip((centered.T @ centered) / np.sqrt(np.outer(var, var)), -1.0, 1.0)
+    np.fill_diagonal(r, 1.0)
+    return r
+
+
+def exact_pearson(data):
+    """Each correlation from exact Python-integer moments, rounded through one square root."""
+    cols = [[int(v) for v in col] for col in np.asarray(data).T]
+    n = len(cols[0])
+
+    def moment(u, v):
+        return n * sum(a * b for a, b in zip(u, v)) - sum(u) * sum(v)
+
+    return np.array([[moment(u, v) / math.sqrt(moment(u, u) * moment(v, v)) for v in cols]
+                     for u in cols])
+
+
+def occurrence(data):
+    data = np.asarray(data)
+    return OccurrenceMatrix(tuple(f"d{i}" for i in range(data.shape[0])),
+                            tuple(f"a{j}" for j in range(data.shape[1])), data)
+
+
+def constant_columns(data):
+    return [j for j in range(data.shape[1]) if np.all(data[:, j] == data[0, j])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(2, 60), st.integers(2, 8)).flatmap(
+    lambda shape: arrays(np.int64, shape, elements=st.integers(0, 10**4))))
+def test_exact_moment_pearson_matches_the_centered_float_reference(data):
+    assume(not constant_columns(data))
+    R = np.asarray(pearson_columns(occurrence(data)).data)
+    np.testing.assert_allclose(R, centered_pearson(data), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(1, 12), st.integers(2, 6)).flatmap(
+           lambda shape: arrays(np.int64, shape, elements=st.integers(0, 3))),
+       st.integers(0, 2**40), st.data())
+def test_zero_variance_is_raised_for_exactly_the_constant_columns(data, base, more):
+    # shifted by up to 2**40, a column one count from constant keeps a variance
+    # far below float64's resolution of its mean, and must still pass
+    data = data + base
+    constant = constant_columns(data)
+    if constant and more.draw(st.booleans()):  # make the first constant column nearly constant
+        data[0, constant[0]] += 1
+        constant = constant_columns(data)
+    if constant:
+        with pytest.raises(ZeroVarianceColumn) as err:
+            pearson_columns(occurrence(data))
+        assert err.value.label == f"a{constant[0]}"
+    else:
+        R = np.asarray(pearson_columns(occurrence(data)).data)
+        np.testing.assert_allclose(R, exact_pearson(data), rtol=0, atol=1e-12)
+
+
+_M = 2**30 - 1
+
+
+@pytest.mark.parametrize("data", [
+    # G fits int64 (8 * m**2 < 2**63), but n * G_00 and the variance n**2 m**2 / 4 pass
+    # 2**63; int64 would wrap the variance to about 0
+    [[_M, 0, 1]] * 4 + [[0, _M, 2]] * 3 + [[0, _M, 0]],
+    # the product G itself passes int64 (object dtype)
+    [[2**62, 0, 3], [0, 2**62, 2], [2**61, 2**61, 1]],
+    # counts past int64 (Python integers)
+    [[2**70, 0, 5], [0, 2**70, 1], [2**69, 2**69, 9]],
+], ids=["moments-past-int64", "product-past-int64", "counts-past-int64"])
+def test_pearson_exact_where_moments_pass_int64(data):
+    # columns a0 and a1 sum to a constant in every document: r = -1 exactly
+    data = np.array(data, dtype=object if max(map(max, data)) > 2**63 - 1 else np.int64)
+    R = np.asarray(pearson_columns(occurrence(data)).data)
+    np.testing.assert_allclose(R, exact_pearson(data), rtol=0, atol=1e-15)
+    assert R[0, 1] == pytest.approx(-1.0, abs=1e-15)
 
 
 class TestShiftPearson:
@@ -340,6 +425,15 @@ def test_cosine_columns_is_bitwise_the_exact_product_formula(seed):
 
 _DISTANCES = ProximityMatrix(("a", "b"), [[0.0, 1.0], [1.0, 0.0]], kind="dissimilarity")
 
+
+def _cities_missing_one_pair():
+    """The bundled cities with the Atlanta-Chicago mileage missing."""
+    cities = builtin_dataset("cities")
+    data = np.array(cities.data)
+    data[0, 1] = data[1, 0] = np.nan
+    return ProximityMatrix(cities.labels, data, kind="dissimilarity")
+
+
 # every check of the module's arguments: (call, error, exact message)
 PROXIMITY_ERRORS = {
     "shift-kind": (lambda: shift_pearson(_DISTANCES), ValueError,
@@ -351,6 +445,13 @@ PROXIMITY_ERRORS = {
                            "to_dissimilarity expects a similarity matrix"),
     "zero-norm": (lambda: cosine_columns(OccurrenceMatrix(("d",), ("a", "b"), [[1, 0]])),
                   ZeroNormColumn, "column 'b' has zero norm"),
+    # one missing pair would leave whole rows and columns of the correlation NaN
+    "pearson-of-missing": (lambda: pearson_of_proximities(_cities_missing_one_pair()),
+                           ValueError, "proximity between 'Atlanta' and 'Chicago' is missing"),
+    "pearson-of-constant": (
+        lambda: pearson_of_proximities(ProximityMatrix(
+            ("a", "b", "c"), [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], kind="similarity")),
+        ZeroVarianceColumn, "column 'b' has zero variance"),
 }
 
 

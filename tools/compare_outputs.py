@@ -20,13 +20,18 @@ A call's files are its output directory plus its exit code, stdout and
 stderr.  Before comparison the ``timestamp`` line is dropped from every
 report, and the tree's working directory is replaced by ``<OUT>`` in stdout
 and stderr.  Every file that differs, or exists on one side only, is
-listed; the exit status is 1 if there is any, else 0.  Outputs are kept
-under ``--work`` when it is given (default: a temporary directory).
+listed; the exit status is 1 if there is any, else 0.  A differing file
+whose text is the same outside its numbers (a CSV whose cells moved, a
+report whose stress did) is listed with the largest absolute difference
+between the numbers at matching places, so a last-digit change can quote
+its size.  Outputs are kept under ``--work`` when it is given (default: a
+temporary directory).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import subprocess
@@ -172,6 +177,21 @@ def contents(path: Path) -> bytes:
     return TIMESTAMP.sub(b"", data) if path.name.endswith("_report.json") else data
 
 
+# a whole number token, not the digits inside a label such as "a12"
+NUMBER = re.compile(rb"(?<![\w.])-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])"
+                    rb"|\bnan\b|\binf\b")
+
+
+def largest_difference(a: bytes, b: bytes) -> float | None:
+    """The largest absolute difference between the numbers at matching places of
+    two texts (infinite where only one is NaN); None if the texts differ elsewhere."""
+    if NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+        return None
+    gaps = [abs(float(x) - float(y)) for x, y in zip(NUMBER.findall(a), NUMBER.findall(b))
+            if x != y]
+    return max((math.inf if math.isnan(g) else g for g in gaps), default=0.0)
+
+
 def differing(old: Path, new: Path) -> list[str]:
     old_files = {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
     new_files = {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
@@ -179,8 +199,9 @@ def differing(old: Path, new: Path) -> list[str]:
     for rel in sorted(old_files | new_files):
         if rel not in old_files or rel not in new_files:
             out.append(f"{rel} (only in {'old' if rel in old_files else 'new'})")
-        elif contents(old / rel) != contents(new / rel):
-            out.append(str(rel))
+        elif (a := contents(old / rel)) != (b := contents(new / rel)):
+            gap = largest_difference(a, b)
+            out.append(str(rel) if gap is None else f"{rel} (largest difference {gap:.3g})")
     return out
 
 
