@@ -12,12 +12,22 @@ All parsers accept ``\\n`` and ``\\r\\n`` input and emit ``\\n``.  Labels are
 trimmed but case-sensitive; normalizing author-name variants is the caller's
 responsibility.  Every serializer refuses, with a ``ValueError`` naming it,
 a label that its parser would not read back unchanged.
+
+The CSV readers stream: ``csv.reader`` takes the text one line at a time,
+and each row's cells go straight into the result array (the rectangular
+reader's grows by doubling, to at most one row per line), so a reader holds
+one row of cells at a time besides the labels and line numbers.  A
+malformed file raises the first of its errors in this order: a CSV syntax
+error anywhere, then the square reader's row count and row labels, then the
+first bad row in file order; so an error found in a row is held until the
+read ends.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 
 import numpy as np
 
@@ -243,14 +253,39 @@ def serialize_records(A: OccurrenceMatrix) -> str:
 # labeled matrices (CSV)
 # ---------------------------------------------------------------------------
 
-def _read_csv_rows(text: str) -> tuple[list[list[str]], list[int]]:
-    """The non-empty rows of a CSV text, and the line number each one ends on."""
-    reader = csv.reader(io.StringIO(text))
+def _lines(text: str):
+    """The lines of ``text``, split at ``\\n`` only and each with its line end.
+
+    They are the lines ``io.StringIO(text)`` yields, taken one at a time
+    instead of from a copy of the whole text.
+    """
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start) + 1 or size
+        yield text[start:end]
+        start = end
+
+
+def _csv_rows(text: str):
+    """Each non-empty row of a CSV text, with the lines it starts and ends on.
+
+    Rows are read one at a time.  A CSV syntax error raises
+    :class:`MalformedLine` naming the line the reader stopped on.
+    """
+    reader = csv.reader(_lines(text))
+    start = 1
     try:
-        numbered = [(row, reader.line_num) for row in reader if row]
+        for row in reader:
+            if row:
+                yield row, start, reader.line_num
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise MalformedLine(reader.line_num, str(exc)) from None
-    return [row for row, _ in numbered], [line for _, line in numbered]
+
+
+def _row_at(text: str, line: int) -> list[str]:
+    """The CSV row that starts on ``line`` of ``text``, read again."""
+    return next(csv.reader(itertools.islice(_lines(text), line - 1, None)))
 
 
 def _check_csv_labels(labels) -> None:
@@ -273,38 +308,51 @@ def parse_square_matrix(text: str, kind: str):
     exactly), or one blank in both triangles, raises :class:`MalformedLine`
     naming its line and column; a negative one raises :class:`NegativeCount`.
     A bad cell is quoted as written.
+
+    The text is read one row at a time, and each row's cells go straight
+    into the n x n array; only the labels and line numbers are kept.  The
+    array is made only when the text has a line for each row, so a long
+    header over few rows costs no more than it did to refuse.  A
+    file with several faults raises the error of the first of: a CSV syntax
+    error; a number of data rows other than the header's; row labels other
+    than the header's; the first bad row in file order (more cells than the
+    header, or a cell that is not a number); two triangles that disagree;
+    and, for counts, the first bad count cell in file order, whose text is
+    read again from its line.  An error found in a row is held until the
+    read ends, since a later line may raise one that comes first.
     """
-    table, lines = _read_csv_rows(text)
-    if not table:
+    rows = _csv_rows(text)
+    first = next(rows, None)
+    if first is None:
         raise MalformedLine(0, "empty matrix file")
-    header = [h.strip() for h in table[0][1:]]
+    header = [h.strip() for h in first[0][1:]]
     n = len(header)
-    if len(table) != n + 1:
-        raise MalformedLine(0, f"expected {n} data rows, found {len(table) - 1}")
-    row_labels = [row[0].strip() for row in table[1:]]
-    if row_labels != header:
-        raise LabelMismatch(
-            f"row labels {row_labels!r} do not match header {header!r}"
-        )
-    raw = np.full((n, n), np.nan)
-    for i, row in enumerate(table[1:]):
-        cells = row[1:]
-        if len(cells) > n:
-            raise MalformedLine(lines[i + 1], "more cells than header columns")
-        try:  # a whole row at a time: float() strips the cells itself
-            raw[i, :len(cells)] = list(map(float, cells))
-        except ValueError:  # a blank or "." cell to mirror, or a bad number
-            for j, cell in enumerate(cells):
-                cell = cell.strip()
-                if cell in ("", "."):
-                    continue
-                try:
-                    raw[i, j] = float(cell)
-                except ValueError:
-                    raise MalformedLine(lines[i + 1], f"invalid number {cell!r}") from None
+    # each data row starts on a line of its own after the header's, so a text
+    # with fewer line ends than columns fails the row count: its rows are
+    # still read, for a CSV syntax error, but no n x n array is made
+    raw = np.full((n, n), np.nan) if n <= text.count("\n") else None
+    labels, starts, ends = [], [], []
+    held = None  # the first bad row's error
+    for i, (row, start, end) in enumerate(rows):
+        labels.append(row[0].strip())
+        starts.append(start)
+        ends.append(end)
+        if raw is not None and held is None and i < n:
+            try:
+                _read_square_row(raw[i], row[1:], end)
+            except MalformedLine as exc:
+                held = exc
+    if len(labels) != n:
+        raise MalformedLine(0, f"expected {n} data rows, found {len(labels)}")
+    if labels != header:
+        raise LabelMismatch(f"row labels {labels!r} do not match header {header!r}")
+    if held is not None:
+        raise held
     missing = np.isnan(raw)
-    with np.errstate(invalid="ignore"):
-        conflict = np.triu(~missing & ~missing.T & (np.abs(raw - raw.T) > SYMMETRY_TOL), 1)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        gap = raw - raw.T
+        conflict = np.triu(~missing & ~missing.T & (np.abs(gap, out=gap) > SYMMETRY_TOL), 1)
+    del gap
     if conflict.any():
         i, j = (int(k) for k in np.argwhere(conflict)[0])  # first in row-major order
         raise AsymmetricInput(i, j, abs(raw[i, j] - raw[j, i]))
@@ -320,13 +368,33 @@ def parse_square_matrix(text: str, kind: str):
                 (np.isnan(data), MalformedLine, "is blank in both triangles")):
             if bad.any():
                 i, j = (int(k) for k in np.argwhere(bad)[0])
-                row = table[i + 1]  # the cell as written; a blank one may lie past the row's end
+                row = _row_at(text, starts[i])  # a blank cell may lie past the row's end
                 written = row[j + 1].strip() if j + 1 < len(row) else ""
-                raise error(lines[i + 1], f"count cell {header[j]!r} " + message.format(written))
-        return CooccurrenceMatrix(tuple(header), data.astype(np.int64))
+                raise error(ends[i], f"count cell {header[j]!r} " + message.format(written))
+        counts = data.astype(np.int64)
+        counts.flags.writeable = False  # built here: the matrix keeps it
+        return CooccurrenceMatrix(tuple(header), counts)
     if kind not in ("similarity", "dissimilarity"):
         raise ValueError(f"unknown square-matrix kind {kind!r}")
+    del raw, missing  # the matrix takes a copy of its own
     return ProximityMatrix(tuple(header), data, kind=kind)
+
+
+def _read_square_row(out: np.ndarray, cells: list[str], line_no: int) -> None:
+    """Write a square-matrix row's cells into ``out``; blank and ``.`` cells stay NaN."""
+    if len(cells) > len(out):
+        raise MalformedLine(line_no, "more cells than header columns")
+    try:  # a whole row at a time: float() strips the cells itself
+        out[:len(cells)] = list(map(float, cells))
+    except ValueError:  # a blank or "." cell to mirror, or a bad number
+        for j, cell in enumerate(cells):
+            cell = cell.strip()
+            if cell in ("", "."):
+                continue
+            try:
+                out[j] = float(cell)
+            except ValueError:
+                raise MalformedLine(line_no, f"invalid number {cell!r}") from None
 
 
 def _number_cells(data) -> list:
@@ -398,27 +466,56 @@ def parse_rectangular_matrix(text: str) -> OccurrenceMatrix:
     """Parse a labeled rectangular CSV count matrix (documents x attributes).
 
     A count past int64 raises :class:`CountOverflow` naming its line and column.
+    Rows are read one at a time into an int64 array, and a file with several
+    faults raises the error of the first of: a CSV syntax error, then the
+    first bad row in file order.
+
+    The array grows by doubling as rows arrive, instead of being made once
+    for the line count, so its size follows the rows read: blank lines, a
+    label quoted over many lines, or a wide header over a bad first row
+    reserve no rows of their own.
     """
-    table, lines = _read_csv_rows(text)
-    if not table:
+    rows = _csv_rows(text)
+    first = next(rows, None)
+    if first is None:
         raise MalformedLine(0, "empty matrix file")
-    cols = tuple(h.strip() for h in table[0][1:])
-    rows = []
-    data = []
-    for line_no, row in zip(lines[1:], table[1:]):
-        if len(row) != len(cols) + 1:
-            raise MalformedLine(line_no, f"expected {len(cols) + 1} cells, found {len(row)}")
-        rows.append(row[0].strip())
+    cols = tuple(h.strip() for h in first[0][1:])
+    most = text.count("\n")  # each data row starts on a line after the header's first
+    data = np.zeros((0, len(cols)), dtype=np.int64)
+    labels = []
+    held = None  # the first bad row's error
+    for row, _, line_no in rows:
+        if held is not None:
+            continue
+        i = len(labels)
+        if i == len(data):  # full: double it, to at most one row per line
+            data.resize((min(2 * i + 1, most), len(cols)), refcheck=False)
         try:
-            values = [int(cell.strip()) for cell in row[1:]]
-        except ValueError:
-            raise MalformedLine(line_no, "count cells must be integers") from None
-        if any(v < 0 for v in values):
-            raise NegativeCount(line_no, "negative count")
-        if max(values, default=0) > INT64_MAX:
-            raise _past_int64(line_no, next(c for c, v in zip(cols, values) if v > INT64_MAX))
-        data.append(values)
-    return OccurrenceMatrix(tuple(rows), cols, np.array(data, dtype=np.int64))
+            _read_count_row(data[i], row, line_no, cols)
+        except (MalformedLine, NegativeCount, CountOverflow) as exc:
+            held = exc
+        labels.append(row[0].strip())
+    if held is not None:
+        raise held
+    data.resize((len(labels), len(cols)), refcheck=False)
+    data.flags.writeable = False  # built here: the matrix keeps it
+    # a header alone gives an empty vector, which the matrix refuses by its shape
+    return OccurrenceMatrix(tuple(labels), cols, data if labels else data.reshape(-1))
+
+
+def _read_count_row(out: np.ndarray, row: list[str], line_no: int, cols) -> None:
+    """Write a rectangular-matrix row's counts, the cells after its label, into ``out``."""
+    if len(row) != len(cols) + 1:
+        raise MalformedLine(line_no, f"expected {len(cols) + 1} cells, found {len(row)}")
+    try:
+        values = [int(cell.strip()) for cell in row[1:]]
+    except ValueError:
+        raise MalformedLine(line_no, "count cells must be integers") from None
+    if any(v < 0 for v in values):
+        raise NegativeCount(line_no, "negative count")
+    if max(values, default=0) > INT64_MAX:
+        raise _past_int64(line_no, next(c for c, v in zip(cols, values) if v > INT64_MAX))
+    out[:] = values
 
 
 def serialize_rectangular_matrix(A: OccurrenceMatrix) -> str:

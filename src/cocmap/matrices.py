@@ -60,9 +60,10 @@ def _as_count_array(data) -> np.ndarray:
     if (kind not in "biufO" or (kind == "f" and not np.all(a == np.floor(a)))
             or (kind == "O" and not all(map(_is_integral, a.flat)))):
         raise ValueError("count matrix entries must be integers")
-    if np.any(np.asarray(a < 0)):
+    # min and max make no temporary the size of the counts; a float NaN failed above
+    if np.any(np.asarray(a < 0)) if kind == "O" else a.min(initial=0) < 0:
         raise ValueError("count matrix entries must be non-negative")
-    if kind == "f" and not np.all(a < 2**63):  # the int64 cast must hold them
+    if kind == "f" and not a.max(initial=0) < 2**63:  # the int64 cast must hold them
         raise ValueError("float count matrix entries must be below 2**63")
     if kind in "uO" and a.max(initial=0) > INT64_MAX:
         return np.frompyfunc(int, 1, 1)(a)  # Python integers: a value is past int64
@@ -167,8 +168,10 @@ class ProximityMatrix:
         if not np.array_equal(nan, nan.T):
             raise ValueError("missing entries must appear symmetrically")
         finite = ~nan
-        if np.nanmax(np.abs(np.where(finite & finite.T, data - data.T, 0.0)), initial=0.0) > SYMMETRY_TOL:
+        gap = data - data.T  # NaN where both cells are missing, which nanmax skips
+        if np.nanmax(np.abs(gap, out=gap), initial=0.0) > SYMMETRY_TOL:
             raise ValueError("proximity matrix must be symmetric within 1e-12")
+        del gap
         if self.kind == "dissimilarity":
             off = ~np.eye(n, dtype=bool)
             if np.any(data[off & finite] < 0):

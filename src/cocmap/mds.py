@@ -487,8 +487,10 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
     """
     V = np.diag(W.sum(axis=1)) - W
     values, vectors = eigen_symmetric(V)
+    del V
     inv = np.where(values > 1e-12 * max(values.max(), 1.0), 1.0 / np.where(values > 0, values, 1.0), 0.0)
     Vplus = (vectors * inv) @ vectors.T
+    del values, vectors, inv  # the fit holds V+ alone
     # sum_w targets^2 over the full matrix counts every pair twice, which
     # cancels in the stress ratio
     WT0 = W * targets
@@ -550,7 +552,7 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
     stops at ``cfg.max_iterations`` warns with its last stress change.
     """
     work = to_dissimilarity(P) if P.kind == "similarity" else P
-    delta = np.array(work.data, dtype=float)
+    delta = work.data  # frozen float64: read, never copied
     n = delta.shape[0]
     k = cfg.dimensions
     if k >= n:
@@ -568,12 +570,14 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
     W = mask.astype(float)
     npairs = n * (n - 1) / 2.0
     dhat = finite * np.sqrt(npairs / (float((W * finite * finite).sum()) / 2))
+    del finite  # each n x n array lives only while it is used
 
     if cfg.init == "classical":
         fill = float(delta[mask].mean())
         D0 = np.where(mask, delta, fill)
         np.fill_diagonal(D0, 0.0)
         X = classical_init(D0, k)
+        del D0
     else:
         rng = np.random.default_rng(cfg.seed)
         X = rng.standard_normal((n, k))
@@ -584,6 +588,7 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
     sxx = float((W * dist * dist).sum())
     if sxx > 0 and sxy > 0:
         X = X * (sxy / sxx)
+    del dist
 
     update = None
     if cfg.level != "ratio":  # with the fixed normalization, ratio disparities never move

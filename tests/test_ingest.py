@@ -688,3 +688,276 @@ def record_texts(draw):
 @example(text="d1\tA:4611686018427387904;B:4611686018427387904\n")
 def test_bulk_record_parser_matches_the_per_line_reference(text):
     assert record_outcome(parse_records, text) == record_outcome(per_line_parse_records, text)
+
+
+# ---------------------------------------------------------------------------
+# the streaming CSV readers against the table-based readers they replaced
+# ---------------------------------------------------------------------------
+
+def table_csv_rows(text):
+    """Test-only reference: every non-empty row of a CSV text at once, with its end line."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        numbered = [(row, reader.line_num) for row in reader if row]
+    except csv.Error as exc:
+        raise MalformedLine(reader.line_num, str(exc)) from None
+    return [row for row, _ in numbered], [line for _, line in numbered]
+
+
+def table_parse_square_matrix(text, kind):
+    """Test-only reference: the square reader that held every cell of the table as text."""
+    table, lines = table_csv_rows(text)
+    if not table:
+        raise MalformedLine(0, "empty matrix file")
+    header = [h.strip() for h in table[0][1:]]
+    n = len(header)
+    if len(table) != n + 1:
+        raise MalformedLine(0, f"expected {n} data rows, found {len(table) - 1}")
+    row_labels = [row[0].strip() for row in table[1:]]
+    if row_labels != header:
+        raise LabelMismatch(f"row labels {row_labels!r} do not match header {header!r}")
+    raw = np.full((n, n), np.nan)
+    for i, row in enumerate(table[1:]):
+        cells = row[1:]
+        if len(cells) > n:
+            raise MalformedLine(lines[i + 1], "more cells than header columns")
+        for j, cell in enumerate(cells):
+            cell = cell.strip()
+            if cell in ("", "."):
+                continue
+            try:
+                raw[i, j] = float(cell)
+            except ValueError:
+                raise MalformedLine(lines[i + 1], f"invalid number {cell!r}") from None
+    missing = np.isnan(raw)
+    with np.errstate(invalid="ignore"):
+        conflict = np.triu(~missing & ~missing.T & (np.abs(raw - raw.T) > 1e-12), 1)
+    if conflict.any():
+        i, j = (int(k) for k in np.argwhere(conflict)[0])
+        raise AsymmetricInput(i, j, abs(raw[i, j] - raw[j, i]))
+    data = np.where(missing, raw.T, raw)
+    diag = np.diagonal(data)
+    np.fill_diagonal(data, np.where(np.isnan(diag), 1.0 if kind == "similarity" else 0.0, diag))
+    if kind == "counts":
+        whole = np.isfinite(raw) & (raw == np.floor(raw)) & (np.abs(raw) < 2**53)
+        for bad, error, message in (
+                (~missing & ~whole, MalformedLine, "must be an integer below 2**53, not {}"),
+                (raw < 0, NegativeCount, "must be non-negative, not {}"),
+                (np.isnan(data), MalformedLine, "is blank in both triangles")):
+            if bad.any():
+                i, j = (int(k) for k in np.argwhere(bad)[0])
+                row = table[i + 1]
+                written = row[j + 1].strip() if j + 1 < len(row) else ""
+                raise error(lines[i + 1], f"count cell {header[j]!r} " + message.format(written))
+        return CooccurrenceMatrix(tuple(header), data.astype(np.int64))
+    if kind not in ("similarity", "dissimilarity"):
+        raise ValueError(f"unknown square-matrix kind {kind!r}")
+    return ProximityMatrix(tuple(header), data, kind=kind)
+
+
+def table_parse_rectangular_matrix(text):
+    """Test-only reference: the rectangular reader that held every count as a Python int."""
+    table, lines = table_csv_rows(text)
+    if not table:
+        raise MalformedLine(0, "empty matrix file")
+    cols = tuple(h.strip() for h in table[0][1:])
+    rows, data = [], []
+    for line_no, row in zip(lines[1:], table[1:]):
+        if len(row) != len(cols) + 1:
+            raise MalformedLine(line_no, f"expected {len(cols) + 1} cells, found {len(row)}")
+        rows.append(row[0].strip())
+        try:
+            values = [int(cell.strip()) for cell in row[1:]]
+        except ValueError:
+            raise MalformedLine(line_no, "count cells must be integers") from None
+        if any(v < 0 for v in values):
+            raise NegativeCount(line_no, "negative count")
+        if max(values, default=0) > 2**63 - 1:
+            label = next(c for c, v in zip(cols, values) if v > 2**63 - 1)
+            raise CountOverflow(f"line {line_no}: count for {label!r} exceeds the int64 range")
+        data.append(values)
+    return OccurrenceMatrix(tuple(rows), cols, np.array(data, dtype=np.int64))
+
+
+def csv_outcome(parse, text):
+    """The parsed matrix bit for bit, or the type and message (with its line) of the error."""
+    try:
+        M = parse(text)
+    except Exception as exc:  # any error: its type and message must match the reference's
+        return type(exc), str(exc)
+    data = np.asarray(M.data)
+    labels = (M.rows, M.cols) if isinstance(M, OccurrenceMatrix) else M.labels
+    return type(M), getattr(M, "kind", None), labels, data.dtype.str, data.shape, data.tobytes()
+
+
+# labels a CSV writer quotes (a comma, a doubled quote, a line break), padded ones and plain ones
+_CSV_LABELS = ["a", "b", "c,d", 'e"f', "g\nh", " i ", "j\r\nk", "", "\x0cl", "m\nn,o"]
+# cells that read as numbers, and edge values: negative, not finite, at or past 2**53 and int64
+_SQUARE_CELLS = ["0", "1", "2", "17", " 1.5 ", "2.5", "-0", "1_0", "0.1", "9007199254740991"]
+_EDGE_CELLS = ["-1", "nan", "inf", "1e400", "9007199254740992", "9007199254740993",
+               "9223372036854775808"]
+_BLANK_CELLS = ["", ".", " . ", " "]
+_BAD_CELLS = ["x", "1,5", "--1", "1e", "0x10"]
+# blank lines, and lines that break the CSV syntax or join the lines after them
+_RAW_LINES = ["", "\r", " ", "a\rb,1", '"open', 'x,"y"z']
+
+
+def _rare(draw, common, rare, one_in=8):
+    """A draw from ``rare`` one time in ``one_in``, else from ``common``; the
+    minimal draw, which hypothesis makes often, is a common one."""
+    return draw(st.sampled_from(rare if draw(st.integers(1, one_in)) == one_in else common))
+
+
+def _write_rows(draw, rows):
+    """CSV text for ``rows``, with drawn line ends, blank or raw lines, and final newline."""
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    out = io.StringIO()
+    csv.writer(out, lineterminator=end).writerows(rows)
+    lines = out.getvalue().split(end)[:-1]  # a quoted field's own line break stays inside
+    if draw(st.integers(0, 3)) == 3:
+        for _ in range(draw(st.integers(1, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_RAW_LINES)))
+    return end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+@st.composite
+def square_csv_texts(draw):
+    """Square CSV files, mostly well formed: symmetric cells, some blank in one
+    triangle, and now and then a flaw (an edge or bad cell, a short, long,
+    extra or missing row, a renamed row)."""
+    n = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.sampled_from(_CSV_LABELS), min_size=n, max_size=n, unique=True))
+    cells = [[""] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            cells[i][j] = cells[j][i] = _rare(draw, _SQUARE_CELLS, _EDGE_CELLS, one_in=24)
+        cells[i][i] = _rare(draw, ["0", "1"], _SQUARE_CELLS + _EDGE_CELLS, one_in=16)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        cells[i][j] = _rare(draw, _BLANK_CELLS, _BAD_CELLS + _SQUARE_CELLS)
+    rows = [[""] + labels] + [[label] + row for label, row in zip(labels, cells)]
+    flaw = _rare(draw, ["none"], ["short", "long", "extra", "missing", "renamed"], one_in=4)
+    k = draw(st.integers(1, n))
+    if flaw == "short":
+        rows[k] = rows[k][:draw(st.integers(1, n))]
+    elif flaw == "long":
+        rows[k] = rows[k] + [draw(st.sampled_from(_SQUARE_CELLS + _BLANK_CELLS))]
+    elif flaw == "extra":
+        rows.append(["z"] + cells[0])
+    elif flaw == "missing":
+        del rows[k]
+    elif flaw == "renamed":
+        rows[k] = ["zz"] + rows[k][1:]
+    return _write_rows(draw, rows)
+
+
+_COUNT_CELLS = ["0", "1", "2", " 3 ", "+4", "1_0", "\u0663", "9223372036854775807"]
+_BAD_COUNT_CELLS = ["-1", "x", "", "1.5", ".", "9223372036854775808", "9" * 30]
+
+
+@st.composite
+def rectangular_csv_texts(draw):
+    """Rectangular count CSV files, mostly well formed, with a few bad cells or ragged rows."""
+    cols = draw(st.lists(st.sampled_from(_CSV_LABELS), min_size=1, max_size=4, unique=True))
+    docs = draw(st.lists(st.sampled_from(_CSV_LABELS + ["d1", "d2"]), min_size=1, max_size=5,
+                         unique=True))
+    rows = [[""] + cols]
+    for doc in docs:
+        cells = [draw(st.sampled_from(_COUNT_CELLS)) for _ in cols]
+        if draw(st.integers(0, 5)) == 5:
+            cells[draw(st.integers(0, len(cols) - 1))] = draw(st.sampled_from(_BAD_COUNT_CELLS))
+        if draw(st.integers(0, 7)) == 7:
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
+        rows.append([doc] + cells)
+    return _write_rows(draw, rows)
+
+
+# a label mismatch and a bad cell in one file: the mismatch is raised
+PRECEDENCE_TEXT = ",a,b\na,0,x\nc,1,0\n"
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=square_csv_texts(), kind=st.sampled_from(["similarity", "dissimilarity", "counts"]))
+@example(text=PRECEDENCE_TEXT, kind="dissimilarity")
+@example(text=',"a,b","c""d"\r\n"a,b",0,\r\n"c""d",1,0', kind="counts")
+@example(text=',a,"b\nc"\na,0,.\n"b\nc",9007199254740992,0\n', kind="counts")
+@example(text=",a,b\na,0,\nb,9223372036854775808,0\n", kind="counts")
+@example(text=",a,b\na,,1\nb,1,\n", kind="counts")
+@example(text=",a,b\na,0,\x0c1\nb,,0\n\n", kind="similarity")
+@example(text=",a,b\na,0,1\nb,1,0\n,\n", kind="dissimilarity")
+@example(text=',a,b\na,0,1\nb,1,"0\n', kind="dissimilarity")
+def test_square_reader_matches_the_table_reader(text, kind):
+    expected = csv_outcome(lambda t: table_parse_square_matrix(t, kind), text)
+    assert csv_outcome(lambda t: parse_square_matrix(t, kind), text) == expected
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=rectangular_csv_texts())
+@example(text=",a,b\n")
+@example(text="x\nd1\n")
+@example(text=',"a,b",c\r\n"d""1",1,2\r\nd2,1,x\r\nd3,"1')
+@example(text=",a,b\nd1,-1,x\nd2,1\n")
+@example(text=",a,b\nd1,9223372036854775808,1\nd2,1,\"2")
+def test_rectangular_reader_matches_the_table_reader(text):
+    expected = csv_outcome(table_parse_rectangular_matrix, text)
+    assert csv_outcome(parse_rectangular_matrix, text) == expected
+
+
+def test_a_held_cell_error_yields_to_a_later_csv_error():
+    # the bad cell on line 2 is found first, but a CSV syntax error anywhere comes first
+    with pytest.raises(MalformedLine, match="^line 4: ") as err:
+        parse_square_matrix(",a,b\na,0,x\nb,1,0\nc\rd\n", "dissimilarity")
+    assert "invalid number" not in str(err.value)
+    with pytest.raises(MalformedLine, match="^line 4: ") as err:
+        parse_rectangular_matrix(",a,b\nd1,1,x\nd2,1,0\nc\rd\n")
+    assert "integers" not in str(err.value)
+
+
+def test_a_bad_count_is_quoted_from_its_own_row():
+    # the row of the bad cell starts on the line before it ends, in a quoted label
+    # whose second line, read as a row, would put other text in the cell's place
+    text = ',a,"b\nc,d"\r\na,0,\r\n"b\nc,d", 1.5 ,0\r\n'
+    with pytest.raises(MalformedLine) as err:
+        parse_square_matrix(text, "counts")
+    assert str(err.value) == "line 5: count cell 'a' must be an integer below 2**53, not 1.5"
+
+
+def test_square_reader_peak_under_eight_results(traced_peak):
+    # 300 x 300 cells of about 18 characters: the table-based reader held every
+    # cell as a string, 13.1 MiB at peak for a 0.69 MiB result (19x); read
+    # row by row, the peak is 2.5 MiB (3.6x), in the matrix's own checks
+    rng = np.random.default_rng(24)
+    n = 300
+    d = np.abs(rng.standard_normal((n, n)))
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    text = serialize_square_matrix(
+        ProximityMatrix(tuple(f"p{i}" for i in range(n)), d, kind="dissimilarity"))
+    P, peak = traced_peak(lambda: parse_square_matrix(text, "dissimilarity"))
+    assert np.array_equal(P.data, d)
+    assert peak < 8 * P.data.nbytes
+
+
+@pytest.mark.parametrize("rows", ["", "p0,1\n", "p0,1\np1,2\rx\n"])
+def test_a_long_header_over_few_rows_makes_no_square_array(rows, traced_peak):
+    # 3000 columns would ask for a 68.7 MiB array; a text with fewer lines than
+    # columns fails the row count, or its CSV syntax first, without making it
+    text = ",".join(["", *(f"p{j}" for j in range(3000))]) + "\n" + rows
+    with pytest.raises(MalformedLine) as want:
+        table_parse_square_matrix(text, "dissimilarity")
+    got, peak = traced_peak(lambda: pytest.raises(MalformedLine, parse_square_matrix,
+                                                  text, "dissimilarity"))
+    assert str(got.value) == str(want.value)
+    assert peak < 1024 * 1024
+
+
+def test_rectangular_reader_peak_under_two_and_a_half_results(traced_peak):
+    # 4000 x 120 counts of 0-2: the table-based reader held them as lists of
+    # Python ints, 16.2 MiB at peak for a 3.66 MiB result (4.4x); read row by
+    # row into the kept array, the peak is 4.1 MiB (1.1x)
+    rng = np.random.default_rng(25)
+    counts = rng.integers(0, 3, size=(4000, 120))
+    text = serialize_rectangular_matrix(OccurrenceMatrix(
+        tuple(f"d{i}" for i in range(4000)), tuple(f"a{j}" for j in range(120)), counts))
+    A, peak = traced_peak(lambda: parse_rectangular_matrix(text))
+    assert np.array_equal(A.data, counts)
+    assert peak < 2.5 * A.data.nbytes

@@ -1,7 +1,5 @@
 """Matrix types and the occurrence -> co-occurrence derivations."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +19,7 @@ from cocmap import (
     pearson_columns,
 )
 from cocmap.ingest import _read_records
-from cocmap.matrices import _freeze, count_product
+from cocmap.matrices import _as_labels, _freeze, count_product
 
 
 def brute_force_cooccurrence(data, diagonal_policy="raw"):
@@ -109,6 +107,13 @@ class TestProximityMatrix:
     def test_rejects_asymmetry_beyond_tolerance(self):
         with pytest.raises(ValueError):
             ProximityMatrix(("a", "b"), [[0.0, 1.0], [1.0 + 1e-6, 0.0]], kind="similarity")
+
+    def test_missing_pairs_neither_hide_nor_make_asymmetry(self):
+        gap = [[0.0, np.nan, 1.0], [np.nan, 0.0, 2.0], [1.0, 2.0 + 1e-6, 0.0]]
+        with pytest.raises(ValueError, match="symmetric within 1e-12"):
+            ProximityMatrix(("a", "b", "c"), gap, kind="similarity")
+        missing = np.full((3, 3), np.nan)
+        assert np.isnan(ProximityMatrix(("a", "b", "c"), missing, kind="similarity").data).all()
 
     def test_dissimilarity_rejects_negative_entries(self):
         with pytest.raises(ValueError):
@@ -460,6 +465,21 @@ def test_a_frozen_array_out_of_c_order_is_copied():
     assert stored is not counts and stored.flags.c_contiguous and not stored.flags.writeable
 
 
+def test_wrapping_frozen_counts_allocates_nothing_their_size(traced_peak):
+    # a kept, frozen 4000 x 120 int64 array (3.66 MiB): the sign check made a
+    # boolean per count, 0.46 MiB; min and max make none.  The bound is taken
+    # beyond the labels' own duplicate check, whose set of 4000 labels alone
+    # peaks at 192 KiB.
+    rows = tuple(f"d{i}" for i in range(4000))
+    cols = tuple(f"a{j}" for j in range(120))
+    counts = np.random.default_rng(27).integers(0, 3, size=(4000, 120))
+    counts.flags.writeable = False
+    labels_peak = traced_peak(lambda: (_as_labels(rows, "row"), _as_labels(cols, "column")))[1]
+    A, peak = traced_peak(lambda: OccurrenceMatrix(rows, cols, counts))
+    assert A.data is counts
+    assert peak < labels_peak + 64 * 1024
+
+
 def _records_text(docs, attrs, seed):
     rng = np.random.default_rng(seed)
     lines = []
@@ -470,19 +490,19 @@ def _records_text(docs, attrs, seed):
     return "\n".join(lines) + "\n"
 
 
-def test_parse_and_pearson_peak_under_three_copies_of_the_counts():
+def test_parse_and_pearson_peak_under_three_copies_of_the_counts(traced_peak):
     # the counts are 4000 x 120 int64 (3.7 MiB); the parsed array is kept and
     # count_product makes one float64 copy, so the peak was 7.9 MiB.  Copying
     # the parsed counts into the matrix and centering a float copy for Pearson
     # (a float copy, a centered copy and its square) peaked at 14.9 MiB.
     text = _records_text(4000, 120, seed=7)
-    tracemalloc.start()
-    try:
+
+    def parse_and_correlate():
         A = parse_records(text)
         pearson_columns(A)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return A
+
+    A, peak = traced_peak(parse_and_correlate)
     assert A.data.shape == (4000, 120)
     assert peak < 3 * A.data.nbytes
 

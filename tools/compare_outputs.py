@@ -10,7 +10,9 @@ with that tree on ``PYTHONPATH`` and one BLAS thread, writing to the same
 relative output directory, so report paths and printed messages match.
 The calls cover every subcommand, the three demos, counts beyond float64's
 exact range (a counts CSV read with ``--format matrix`` and a co-occurrence
-CSV holding 2**53 + 1), a layout of small graphs with twin vertices and a
+CSV holding 2**53 + 1), CSV files with quoted labels (a lower-triangular
+square one with ``.`` and blank cells and CRLF line ends, read by ``mds`` and
+as counts by ``layout``, and a rectangular one), a layout of small graphs with twin vertices and a
 two-vertex component, an ordinal fit over heavily tied proximities,
 pipelines whose reports record every scaling and factor setting, and the
 four benchmark workloads on the inputs ``perfbench/workloads.generate``
@@ -90,6 +92,26 @@ b,9007199254740993,0,2
 c,1,2,0
 """
 
+# a lower-triangular count matrix with quoted labels, "." and blank cells and
+# CRLF line ends: read as dissimilarities by mds and as counts by layout
+QUOTED_SQUARE = (
+    ',"Smith, J.","Lee, K.",Lee,Kim,Park\r\n'
+    '"Smith, J.",0,.,,.,\r\n'
+    '"Lee, K.",3,0,.,,\r\n'
+    'Lee,5,2,0,,.\r\n'
+    'Kim,1,4,6,0,\r\n'
+    'Park,2,1,3,5,0\r\n'
+)
+
+# a documents x attributes counts CSV with quoted document and attribute labels
+QUOTED_COUNTS = """\
+,"Smith, J.",Lee,"O""Brien",Kim
+d1,1,0,2,1
+"doc, 2",0,1,1,3
+d3,2,1,0,0
+d4,0,2,1,1
+"""
+
 
 def calls(directory: Path) -> list[tuple[str, list[str]]]:
     """Write the inputs under ``directory``; return the calls as (name, arguments without --out)."""
@@ -107,6 +129,10 @@ def calls(directory: Path) -> list[tuple[str, list[str]]]:
     large.write_text(LARGE_COUNTS, encoding="utf-8")
     above = directory / "above_float_exact.csv"
     above.write_text(ABOVE_FLOAT_EXACT, encoding="utf-8")
+    quoted_square = directory / "quoted_square.csv"
+    quoted_square.write_text(QUOTED_SQUARE, encoding="utf-8")
+    quoted_counts = directory / "quoted_counts.csv"
+    quoted_counts.write_text(QUOTED_COUNTS, encoding="utf-8")
     matrix = ["--in", str(large), "--format", "matrix"]
     fixed = [
         ("demo-cities-correct", ["demo", "cities-correct"]),
@@ -129,11 +155,15 @@ def calls(directory: Path) -> list[tuple[str, list[str]]]:
                                        "--init", "random", "--seed", "3"]),
         ("mds-figure1-sim", ["mds", "--builtin", "figure1"]),
         ("mds-gappy-ordinal", ["mds", "--in", str(gappy), "--level", "ordinal"]),
+        ("mds-quoted-square", ["mds", "--in", str(quoted_square)]),
         ("factor-figure2", ["factor", "--builtin", "figure2"]),
         ("factor-unrotated", ["factor", "--in", records, "--factors", "3", "--rotate", "none"]),
         ("layout-figure1", ["layout", "--builtin", "figure1"]),
         ("layout-small-graphs", ["layout", "--in", str(small_graphs)]),
         ("layout-above-float-exact", ["layout", "--in", str(above)]),
+        ("layout-quoted-square", ["layout", "--in", str(quoted_square)]),
+        ("prox-cosine-quoted", ["prox", "--in", str(quoted_counts), "--format", "matrix",
+                                "--measure", "cosine"]),
         ("pipeline-euclidean-mds", ["pipeline", "--in", records, "--steps",
                                     "euclidean,mds", "--level", "interval"]),
         # an ordinal fit over heavily tied proximities: 7140 pairs, 2755 values
