@@ -418,8 +418,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dims", type=int, default=MdsConfig.dimensions)
         p.add_argument("--init", choices=("classical", "random"), default=MdsConfig.init)
         p.add_argument("--seed", type=int, default=MdsConfig.seed)
-        p.add_argument("--max-iter", type=int, default=MdsConfig.max_iterations)
-        p.add_argument("--epsilon", type=float, default=MdsConfig.epsilon)
+        p.add_argument("--max-iter", type=int, default=MdsConfig.max_iterations,
+                       help="cap on the Guttman transforms, three or more to a SQUAREM "
+                            "cycle (default %(default)s)")
+        p.add_argument("--epsilon", type=float, default=MdsConfig.epsilon,
+                       help="convergence threshold on the normalized stress change of "
+                            "one SQUAREM cycle (default %(default)s)")
 
     def add_diag(p):
         p.add_argument("--diag", dest="diag_policy", choices=("raw", "zero"),

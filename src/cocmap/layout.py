@@ -11,12 +11,14 @@ graph-theoretic distances ``d_ij`` and stiffness ``k_ij = 1 / d_ij^2``.
 That is weighted raw stress, so each component is fitted by the SMACOF
 core of :mod:`cocmap.mds` (stress majorization, Gansner, Koren & North
 2004), started from classical scaling of the hop counts as Brandes & Pich
-(2008) recommend.  Every iteration, an over-relaxed Guttman step
-``1.9 G - 0.9 X`` (de Leeuw & Heiser 1980) that needs about 40% fewer
-iterations than the plain step ``G``, moves all vertices at once and
-cannot raise the energy, so the energy at termination never exceeds the
-energy of that start; the last iteration keeps ``G`` when it is lower,
-so a two-vertex component ends at exactly one hop.  A stiffness
+(2008) recommend.  The core runs SQUAREM cycles on the Guttman
+transform (Varadhan & Roland 2008): two plain steps, a squared
+extrapolation and a stabilizing step; run to a stationary layout, they
+need about half the Guttman transforms of an over-relaxed step and a
+quarter of those of the plain step.  Every cycle moves all vertices at
+once and no kept cycle raises the energy, so the energy at termination
+never exceeds the energy of that start; a two-vertex component, which one
+plain step puts at its optimum, ends at exactly one hop.  A stiffness
 constant ``K`` would only scale the energy, never the positions, so none
 is offered; nor is ``L``, fixed at 1: the Pajek and SVG writers normalize
 the positions, so another ``L`` would only scale the energy by ``L^2``.
@@ -72,12 +74,12 @@ class WeightedGraph:
 class LayoutResult:
     """Final 2-D positions with the spring energy and the SMACOF iterations spent.
 
-    ``iterations`` sums the iterations over the components, and
+    ``iterations`` sums the Guttman transforms over the components, and
     ``converged`` is true when every component stopped on the energy change
-    rather than at the iteration cap.  ``initial_energy`` is the spring
-    energy of the classical scaling start; majorization only ever lowers
-    it.  ``max_gradient`` is the largest per-vertex norm of the spring
-    energy's gradient at ``positions``: zero at a stationary layout.
+    of a SQUAREM cycle rather than at the cap.  ``initial_energy`` is the
+    spring energy of the classical scaling start; majorization only ever
+    lowers it.  ``max_gradient`` is the largest per-vertex norm of the
+    spring energy's gradient at ``positions``: zero at a stationary layout.
     """
 
     positions: np.ndarray
@@ -176,8 +178,8 @@ def kamada_kawai(G: WeightedGraph) -> LayoutResult:
         np.fill_diagonal(W, 0.0)
         # classical scaling start; a two-vertex component is 1-D.  It puts
         # vertices with equal hop rows (twin leaves) on one point, at times
-        # exactly, and B(X) gives an exactly coincident pair no push, so a
-        # fixed jitter of 1e-5 diameters splits them
+        # exactly, and the core splits an exactly coincident pair along the
+        # first axis alone, so a fixed jitter of 1e-5 diameters splits them
         X = np.zeros((k, 2))
         X[:, :min(2, k - 1)] = classical_init(d, min(2, k - 1))
         X += 1e-5 * float(d.max()) * np.random.default_rng(0).standard_normal((k, 2))

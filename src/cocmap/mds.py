@@ -6,8 +6,9 @@ kind: similarities are first turned upside down via
 matrix maximum, after which both kinds follow the identical iteration, so
 the two entry points produce the same configuration.
 
-Proximities may be treated at three measurement levels.  At each outer
-iteration the dissimilarities are optimally transformed into *disparities*:
+Proximities may be treated at three measurement levels.  At every point
+the fit scores, the dissimilarities are optimally transformed into
+*disparities*:
 
 * ``ratio``    -- ``d_hat = b * delta`` with ``b >= 0``;
 * ``interval`` -- ``d_hat = a + b * delta`` with ``a, b >= 0`` (a non-negative
@@ -15,17 +16,18 @@ iteration the dissimilarities are optimally transformed into *disparities*:
 * ``ordinal``  -- monotone (isotonic) regression of the configuration
   distances in ascending ``delta`` order, with tied proximities untied (tied
   blocks are ordered by current distance and may receive distinct values).
-  The ``delta`` order is sorted once per fit; each iteration re-sorts only
-  inside its tie blocks, and its pool-adjacent-violators fit starts from
-  the previous iteration's blocks: a block is pooled at once when its own
-  isotonic fit is a single block, which late in a fit every block is, and
-  the other blocks are re-split before the usual passes finish the fit.
+  The ``delta`` order is sorted once per fit; each transformation re-sorts
+  only inside its tie blocks, and its pool-adjacent-violators fit starts
+  from the previous transformation's blocks: a block is pooled at once when
+  its own isotonic fit is a single block, which late in a fit every block
+  is, and the other blocks are re-split before the usual passes finish the
+  fit.
 
-Disparities are rescaled every outer iteration so that their weighted sum
-of squares equals ``n (n - 1) / 2``, which pins the stress denominator and
-prevents the degenerate collapse solution in the nonmetric case; the
-rescaling and the stress of interval and ordinal disparities are taken on
-the vector of observed pairs, not on n x n matrices.  The
+Disparities are rescaled at every point the fit scores so that their
+weighted sum of squares equals ``n (n - 1) / 2``, which pins the stress
+denominator and prevents the degenerate collapse solution in the nonmetric
+case; the rescaling and the stress of interval and ordinal disparities are
+taken on the vector of observed pairs, not on n x n matrices.  The
 reported badness of fit is normalized raw stress
 
     sigma_n = sum_w (d_hat - d(X))^2 / sum_w d_hat^2
@@ -33,15 +35,20 @@ reported badness of fit is normalized raw stress
 over the upper-triangle pairs (diagonal weight 0, missing proximities
 weight 0).  Note sigma_n is the square of Kruskal's stress-1 for the same
 disparities, so cross-software comparisons must square or root accordingly.
-Each majorization step is the Guttman transform ``G`` over-relaxed to
-``1.9 G - 0.9 X`` (de Leeuw & Heiser 1980; Borg & Groenen, *Modern MDS*,
-2005, ch. 8), which cannot increase sigma_n, so the recorded stress
-sequence is non-increasing; the last iteration keeps ``G`` instead when
-its stress is lower, since a relaxed step overshoots where a plain one
-lands on the optimum.  Configuration distances are summed one axis at a
-time, so they stay exact for nearly coincident points and every such
-pair gets its push apart.  The iteration itself is a weighted SMACOF core
-that the Kamada-Kawai layout of :mod:`cocmap.layout` shares.
+The majorization map is the Guttman transform ``G`` (de Leeuw 1988; Borg &
+Groenen, *Modern MDS*, 2005, ch. 8), which cannot increase sigma_n but
+converges only linearly, so the fit runs SQUAREM cycles on it (Varadhan &
+Roland 2008): two plain steps, a squared extrapolation from their
+differences, and one stabilizing step, with the extrapolation pulled back
+toward the plain steps whenever the cycle would raise the stress.  The
+recorded stress sequence, one entry per cycle, is non-increasing; a fit
+converges once a cycle lowers sigma_n by less than ``epsilon``, and its
+iteration count is the number of Guttman transforms taken.  Configuration
+distances are summed one axis at a time, so they stay exact for nearly
+coincident points and every such pair gets its push apart; an exactly
+coincident pair is pushed apart along the first axis.  The iteration itself
+is a weighted SMACOF core that the Kamada-Kawai layout of
+:mod:`cocmap.layout` shares.
 """
 
 from __future__ import annotations
@@ -70,8 +77,10 @@ class MdsConfig:
     ``level`` is the measurement level of the proximities, one of
     :data:`MEASUREMENT_LEVELS`; the matrix itself carries no level.
     ``init`` is ``"classical"`` (Torgerson start, deterministic) or
-    ``"random"``, which requires an explicit ``seed``.  ``epsilon`` is the
-    stress-change convergence threshold.
+    ``"random"``, which requires an explicit ``seed``.  ``max_iterations``
+    caps the Guttman transforms, three or more to a SQUAREM cycle, and
+    ``epsilon`` is the convergence threshold on the stress change of one
+    cycle.
     """
 
     dimensions: int = 2
@@ -288,11 +297,29 @@ def classical_init(D, k: int) -> np.ndarray:
     n = D.shape[0]
     if k >= n:
         raise DimensionTooLarge(f"cannot embed {n} points in {k} dimensions")
+    # each n x n array is dropped once used; a D the caller passes without
+    # keeping it is freed here
     D2 = D**2
-    J = np.eye(n) - np.ones((n, n)) / n
-    values, vectors = eigen_symmetric(-0.5 * (J @ D2 @ J))
+    del D
+    J = np.full((n, n), -1.0 / n)
+    np.fill_diagonal(J, 1.0 - 1.0 / n)
+    B = J @ D2
+    del D2
+    B = B @ J
+    del J
+    B *= -0.5
+    values, vectors = eigen_symmetric(B)
+    del B
     coords = vectors[:, :k] * np.sqrt(np.maximum(values[:k], 0.0))
     return coords - coords.mean(axis=0)
+
+
+def _filled(delta, mask) -> np.ndarray:
+    """``delta`` with every unobserved pair set to the mean observed value
+    and a zero diagonal: the matrix the classical start of :func:`mds` scales."""
+    D0 = np.where(mask, delta, float(delta[mask].mean()))
+    np.fill_diagonal(D0, 0.0)
+    return D0
 
 
 def procrustes_align(X, Y):
@@ -327,16 +354,17 @@ def _distances(X: np.ndarray, out=None) -> np.ndarray:
     The squared differences are summed one coordinate axis at a time, so the
     result is bitwise symmetric and a nearly coincident pair keeps its small
     distance; the Gram form ``sq_i + sq_j - 2 G_ij`` would cancel it to 0.
-    The axes are taken as contiguous copies and the sum is kept in place.
-    ``out``, when given, is a pair of n x n arrays: the result is written
-    into the first, and the second is scratch.
+    The axes are taken as contiguous copies, each difference is a broadcast
+    subtraction (a quarter faster than ``np.subtract.outer``), and the sum
+    is kept in place.  ``out``, when given, is a pair of n x n arrays: the
+    result is written into the first, and the second is scratch.
     """
     d2, diff = (None, None) if out is None else out
     axes = np.ascontiguousarray(X.T)
-    d2 = np.subtract.outer(axes[0], axes[0], out=d2)
+    d2 = np.subtract(axes[0][:, None], axes[0], out=d2)
     d2 *= d2
     for x in axes[1:]:
-        diff = np.subtract.outer(x, x, out=diff)
+        diff = np.subtract(x[:, None], x, out=diff)
         diff *= diff
         d2 += diff
     return np.sqrt(d2, out=d2)
@@ -408,7 +436,7 @@ class _FitPairs:
         return pairs
 
 
-def transform_disparities(delta, dist, level: str, mask, *, fixed=None) -> np.ndarray:
+def transform_disparities(delta, dist, level: str, mask, *, fixed=None, out=None) -> np.ndarray:
     """Optimal level-bound transformation of configuration distances.
 
     Given input dissimilarities ``delta`` and current configuration
@@ -418,7 +446,10 @@ def transform_disparities(delta, dist, level: str, mask, *, fixed=None) -> np.nd
     untied: tied ``delta`` blocks are ordered by current distance.
     ``fixed`` is ``_FitPairs(delta, mask, level)``, which :func:`mds`
     builds once per fit and through which an ordinal fit starts from the
-    previous call's blocks; it is built afresh when omitted.
+    previous call's blocks; it is built afresh when omitted.  ``out`` is
+    a matrix that an earlier call with the same ``mask`` returned: the
+    disparities are written into its pair cells, the only cells any call
+    writes, and it is returned.  A zeroed matrix is made when it is omitted.
     """
     fp = _FitPairs(delta, mask, level) if fixed is None else fixed
     upper, lower = fp.upper, fp.lower
@@ -449,15 +480,30 @@ def transform_disparities(delta, dist, level: str, mask, *, fixed=None) -> np.nd
     if not np.any(fitted > 0):
         fitted = delta.take(upper)
     fp.pairs = xv, fitted
-    out = np.zeros(dist.size)
-    out[upper] = fitted
-    out[lower] = fitted
-    return out.reshape(dist.shape)
+    if out is None:
+        out = np.zeros(dist.shape)
+    flat = out.reshape(-1)  # a view of the contiguous matrix
+    flat[upper] = fitted
+    flat[lower] = fitted
+    return out
 
 
-# the over-relaxation of the Guttman step; any value in [1, 2] keeps the
-# stress non-increasing, and 2 itself oscillates on layouts
-RELAXATION = 1.9
+def _components(W) -> np.ndarray:
+    """The component of each point in the graph of the positive weights of ``W``,
+    named by its first point."""
+    n = len(W)
+    adj = W > 0
+    label = np.full(n, -1)
+    for seed in range(n):
+        if label[seed] < 0:
+            reach = np.zeros(n, dtype=bool)
+            reach[seed] = True
+            frontier = reach
+            while frontier.any():
+                frontier = adj[frontier].any(axis=0) & ~reach
+                reach |= frontier
+            label[reach] = seed
+    return label
 
 
 def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
@@ -465,36 +511,55 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
 
     ``W`` is a symmetric non-negative weight matrix with a zero diagonal,
     ``targets`` the symmetric target distances and ``X`` the start, which is
-    centered first.  Each iteration takes the Guttman transform
+    centered first.  The map ``F`` is the Guttman transform
     ``G = V+ B(X) X`` (``V`` the weighted Laplacian, ``V+`` its
-    pseudo-inverse), whatever the weights, and moves to the over-relaxed
-    point ``X = a G - (a - 1) X`` with ``a = RELAXATION``, after which
-    ``update(dist)``, when given, returns ``(WT, stress)`` for the new
-    distances: the new targets times ``W`` and their normalized stress.
-    The majorizer at ``X`` is a quadratic with its minimum at ``G`` that
-    takes the same value at ``X`` and at ``2 G - X``, so any ``a`` in
-    [1, 2] cannot raise the stress (de Leeuw & Heiser 1980; Borg & Groenen
-    2005, ch. 8); ``a = 1.9`` needs about 40% fewer iterations than the
-    plain step.  Where the plain step already lands on the optimum the
-    relaxed one overshoots, so the iteration that ends the fit also scores
-    ``G`` (with ``update(dist(G))``) and keeps whichever of the two points
-    has the lower stress.
+    pseudo-inverse), whatever the weights.  Every point the fit scores
+    after the start is passed to ``update(dist)``, when given, which
+    returns ``(WT, stress)`` for its distances: the new targets times ``W``
+    and their normalized stress.  ``F`` cannot raise the stress (de Leeuw
+    1988) but converges only linearly, so the fit runs SQUAREM cycles on it
+    (Varadhan & Roland 2008, steplength SqS3).  A cycle takes two plain
+    steps ``X1 = F(X)`` and ``X2 = F(X1)``, moves to ``X - 2 a r + a^2 v``
+    with ``r = X1 - X``, ``v = X2 - 2 X1 + X`` and
+    ``a = min(-|r| / |v|, -1)``, and ends on one stabilizing step ``F``
+    from there.  Where that end has a higher stress than ``X``, the cycle
+    takes one more transform from a steplength halfway to -1 (-1 itself
+    from above -1.5); at ``a = -1`` the point is ``X2`` and the cycle three
+    plain steps, which cannot raise the stress.  ``max_iterations`` caps
+    the Guttman transforms; a cap that leaves a cycle too few for its
+    stabilizing step ends it on its last plain step.  A cycle's end whose
+    stress rose, which only rounding can do, is not kept.
     Returns ``(X, history, iterations, converged)``: ``history`` holds the
     normalized raw stress ``sum_w (targets - d)^2 / sum_w targets^2`` at the
-    start and after every iteration, the last entry that of the point kept,
-    and the run has converged once a relaxed step lowers it by less than
-    ``epsilon``.
+    start and at the end of every cycle, ``iterations`` counts the Guttman
+    transforms, and the run has converged once a cycle lowers the stress by
+    less than ``epsilon``.
     """
-    V = np.diag(W.sum(axis=1)) - W
-    values, vectors = eigen_symmetric(V)
-    del V
-    inv = np.where(values > 1e-12 * max(values.max(), 1.0), 1.0 / np.where(values > 0, values, 1.0), 0.0)
-    Vplus = (vectors * inv) @ vectors.T
-    del values, vectors, inv  # the fit holds V+ alone
+    # V+ B(X) X = (V + E)^-1 B(X) X, where E_ij = 1 when i and j share a
+    # component of the weight graph: (V + E)^-1 = V+ + sum_c 1_c 1_c' / |c|^2
+    # and 1_c' B(X) = 0.  V + E is taken with its rows divided by its
+    # diagonal s, which is exactly the identity for all-ones weights, so
+    # their transform is B(X) X / n to the last bit
+    M = np.diag(W.sum(axis=1)) - W
+    label = _components(W)
+    M += label[:, None] == label
+    del label
+    s = M.diagonal().copy()
+    M /= s[:, None]
+    Minv = np.linalg.inv(M)
+    del M  # the fit holds M^-1 alone
+    # the distances, their scratch and B(X) reuse three n x n arrays: the
+    # distances of a point are dead once the Guttman transform of it is taken
+    buffers = (np.empty_like(W), np.empty_like(W))
+    ratio = np.empty_like(W)
+    X = X - X.mean(axis=0)
+    dist = _distances(X, buffers)
+    # W * targets; a fit whose update moves the targets uses it for its first
+    # step alone, so it is formed in the distances' scratch, free until then
+    WT = np.multiply(W, targets, out=None if update is None else buffers[1])
     # sum_w targets^2 over the full matrix counts every pair twice, which
     # cancels in the stress ratio
-    WT0 = W * targets
-    norm0 = float(np.dot(WT0.ravel(), targets.ravel()))
+    norm0 = float(np.dot(WT.ravel(), targets.ravel()))
     w = W.ravel()
 
     def target_stress(dist) -> float:
@@ -502,40 +567,70 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
         r *= r
         return float(np.dot(w, r.ravel())) / norm0
 
+    if update is None:  # fixed targets
+
+        def update(dist, WT=WT):
+            return WT, target_stress(dist)
+
     def score(X):
         # the distances of X, the weighted targets that go with them, and the stress
         dist = _distances(X, buffers)
-        if update is None:
-            return dist, WT0, target_stress(dist)
         return (dist, *update(dist))
 
-    # the distances, their scratch and B(X) reuse three n x n arrays: the
-    # distances of a point are dead once the next point's are taken
-    buffers = (np.empty_like(WT0), np.empty_like(WT0))
-    ratio = np.empty_like(WT0)
-    X = X - X.mean(axis=0)
-    WT, dist = WT0, _distances(X, buffers)
+    def guttman(X, dist, WT):
+        # B(X) X, with B(X)_ij = -W_ij T_ij / d_ij off the diagonal, 0 where d_ij = 0
+        zero = dist == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(WT, dist, out=ratio)
+        ratio[zero] = 0.0
+        BX = ratio.sum(axis=1)[:, None] * X - ratio @ X
+        if np.count_nonzero(zero) > len(X):
+            # a coincident pair i < j with a positive target: its distance is
+            # minorized by x_i - x_j on the first axis instead, which pushes
+            # the pair apart and still cannot raise the stress
+            i, j = np.nonzero(np.triu(zero & (WT > 0), 1))
+            np.add.at(BX[:, 0], i, WT[i, j])
+            np.subtract.at(BX[:, 0], j, WT[i, j])
+        G = Minv @ (BX / s[:, None])
+        G -= G.mean(axis=0)
+        return G
+
     history = [target_stress(dist)]
     converged = False
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        # B(X) X, with B(X)_ij = -W_ij T_ij / d_ij off the diagonal, 0 where d_ij = 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(WT, dist, out=ratio)
-        ratio[dist == 0] = 0.0
-        BX = ratio.sum(axis=1)[:, None] * X - ratio @ X
-        G = Vplus @ BX
-        G -= G.mean(axis=0)
-        X = RELAXATION * G - (RELAXATION - 1.0) * X
-        dist, WT, current = score(X)
-        history.append(current)
-        converged = history[-2] - history[-1] < epsilon
-        if converged or iterations == max_iterations:
-            # the last iteration keeps the better of the relaxed and plain steps
-            plain = score(G)[2]
-            if plain < history[-1]:
-                X, history[-1] = G, plain
-            break
+    while not converged and iterations < max_iterations:
+        start = history[-1]
+        Y = guttman(X, dist, WT)
+        iterations += 1
+        dist, WT, stress = score(Y)
+        if iterations < max_iterations:
+            X1, X2 = Y, guttman(Y, dist, WT)
+            iterations += 1
+            # a retry needs X, r and v alone: the distances of X are dead
+            r = X1 - X
+            v = X2 - X1
+            v -= r
+            rr = float(np.dot(r.ravel(), r.ravel()))
+            vv = float(np.dot(v.ravel(), v.ravel()))
+            alpha = min(-np.sqrt(rr / vv), -1.0) if vv > 0 else -1.0
+            while True:
+                if iterations == max_iterations:
+                    # no transform left to stabilize: the cycle ends on X2
+                    Y = X2
+                    dist, WT, stress = score(Y)
+                    break
+                P = X2 if alpha == -1.0 else X - 2.0 * alpha * r + alpha * alpha * v
+                Y = guttman(P, *score(P)[:2])
+                iterations += 1
+                dist, WT, stress = score(Y)
+                if stress <= start or alpha == -1.0:
+                    break
+                alpha = (alpha - 1.0) / 2.0 if alpha < -1.5 else -1.0
+        # a point whose stress rose, which only rounding can do, is not kept
+        if stress <= start:
+            X, start = Y, stress
+        history.append(start)
+        converged = history[-2] - start < epsilon
     return X, history, iterations, converged
 
 
@@ -546,10 +641,11 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
     before fitting; dissimilarities are fitted directly.  ``cfg.level`` is
     the measurement level the fit assumes.  Returns a centered
     :class:`Configuration` whose ``stress_history`` records the normalized
-    raw stress after every over-relaxed majorization step (the last entry
-    is that of the point the fit returns).  A point with no observed
-    dissimilarity is named in a warning: nothing places it.  A fit that
-    stops at ``cfg.max_iterations`` warns with its last stress change.
+    raw stress at the start and after every SQUAREM cycle (the last entry
+    is that of the point the fit returns) and whose ``iterations_used``
+    counts Guttman transforms.  A point with no observed dissimilarity is
+    named in a warning: nothing places it.  A fit that stops at
+    ``cfg.max_iterations`` warns with the stress change of its last cycle.
     """
     work = to_dissimilarity(P) if P.kind == "similarity" else P
     delta = work.data  # frozen float64: read, never copied
@@ -573,11 +669,8 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
     del finite  # each n x n array lives only while it is used
 
     if cfg.init == "classical":
-        fill = float(delta[mask].mean())
-        D0 = np.where(mask, delta, fill)
-        np.fill_diagonal(D0, 0.0)
-        X = classical_init(D0, k)
-        del D0
+        # the filled dissimilarities are handed over, for classical_init to drop
+        X = classical_init(_filled(delta, mask), k)
     else:
         rng = np.random.default_rng(cfg.seed)
         X = rng.standard_normal((n, k))
@@ -593,10 +686,13 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
     update = None
     if cfg.level != "ratio":  # with the fixed normalization, ratio disparities never move
         fixed = _FitPairs(delta, mask, cfg.level)
+        T = None
 
         def update(dist):
-            # normalize the disparities and take their stress on the pair vectors
-            T = transform_disparities(delta, dist, cfg.level, mask, fixed=fixed)
+            # normalize the disparities and take their stress on the pair vectors;
+            # the first call's zeroed matrix takes every later call's pairs
+            nonlocal T
+            T = transform_disparities(delta, dist, cfg.level, mask, fixed=fixed, out=T)
             xv, fitted = fixed.take_pairs()
             scale = np.sqrt(npairs / float(np.dot(fitted, fitted)))
             T *= scale

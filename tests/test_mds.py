@@ -536,7 +536,8 @@ def test_smacof_core_stress_never_rises_under_random_weights(n, k, zeros, ones, 
     X = rng.standard_normal((n, k))
     _, history, iterations, converged = _smacof(W, T, X, 1e-12, 300)
     h = np.array(history)
-    assert len(h) == iterations + 1
+    # one entry per cycle: three transforms or more, bar a last one cut by the cap
+    assert 2 <= len(h) <= 1 + -(-iterations // 3)
     assert converged or iterations == 300
     assert np.all(np.diff(h) <= 1e-12 * h[0]), h
 
@@ -625,56 +626,116 @@ class TestDisparities:
         )
 
 
-def reference_smacof(W, targets, X, epsilon, max_iterations, update=None, *,
-                     relaxation=1.9, unit_weights=False):
-    """Reference: the SMACOF core written out on its own.
+def reference_map(W, targets, update=None, *, unit_weights=False):
+    """The Guttman map of the SMACOF core, written out on its own.
 
-    Each iteration takes the Guttman transform ``G``, moves to
-    ``relaxation * G - (relaxation - 1) * X``, and the last iteration keeps
-    ``G`` instead when its stress is lower.  ``V+`` is ``np.linalg.pinv`` of
-    the weighted Laplacian.  ``unit_weights`` is the core's former all-ones
-    special case: with ``W = 1 - I`` it took ``G = B(X) X / n`` instead of
-    ``V+ B(X) X``; ``V+`` acts as ``1/n`` on centered configurations, so the
-    two agree up to rounding.  ``relaxation=1`` is the former plain step.
+    Returns ``(step, score)``: ``step(X, dist, WT)`` is the Guttman
+    transform ``G = V+ B(X) X`` from the distances and weighted targets of
+    ``X``, and ``score(X, T)`` gives ``(dist, W * T, stress)`` for targets
+    ``T``, the update's when ``T`` is None.  ``V+`` is ``np.linalg.pinv``
+    of the weighted Laplacian.  ``unit_weights`` is the core's former
+    all-ones special case: with ``W = 1 - I`` it took ``G = B(X) X / n``
+    instead of ``V+ B(X) X``; ``V+`` acts as ``1/n`` on centered
+    configurations, and the core's row-scaled inverse of ``V + E`` gives
+    ``B(X) X / n`` to the last bit.  No input here has a coincident pair,
+    which the core pushes apart along the first axis.
     """
-    n = len(X)
+    n = len(W)
     if unit_weights:
         assert np.array_equal(W, 1.0 - np.eye(n))
     else:
         Vplus = np.linalg.pinv(np.diag(W.sum(axis=1)) - W)
     w = W.ravel()
 
-    def weigh(T):
-        WT = W * T
-        return WT, float(np.dot(WT.ravel(), T.ravel()))
-
-    def stress(T, dist, norm):
-        r = T - dist
-        r *= r
-        return float(np.dot(w, r.ravel())) / norm
-
-    def score(X):
-        dist = _distances(X)
-        # update returns W * T and its stress; mds() gives weights 0 or 1 and
-        # targets 0 wherever the weight is, so W * T is T, whose stress is
-        # recomputed here over the full matrix
-        T = targets if update is None else update(dist)[0]
-        WT, norm = weigh(T)
-        return dist, WT, stress(T, dist, norm)
-
-    X = X - X.mean(axis=0)
-    WT, norm = weigh(targets)
-    dist = _distances(X)
-    history = [stress(targets, dist, norm)]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    def step(X, dist, WT):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = WT / dist
         ratio[dist == 0] = 0.0
         BX = ratio.sum(axis=1)[:, None] * X - ratio @ X
         G = BX / n if unit_weights else Vplus @ BX
-        G -= G.mean(axis=0)
+        return G - G.mean(axis=0)
+
+    def score(X, T=None):
+        dist = _distances(X)
+        # update returns W * T and its stress; mds() gives weights 0 or 1 and
+        # targets 0 wherever the weight is, so W * T is T, whose stress is
+        # recomputed here over the full matrix
+        if T is None:
+            T = targets if update is None else update(dist)[0]
+        WT = W * T
+        r = T - dist
+        stress = float(np.dot(w, (r * r).ravel())) / float(np.dot(WT.ravel(), T.ravel()))
+        return dist, WT, stress
+
+    return step, score
+
+
+def reference_smacof(W, targets, X, epsilon, max_iterations, update=None, *,
+                     unit_weights=False):
+    """Reference: the SMACOF core's SQUAREM cycles written out on their own.
+
+    A cycle takes ``X1 = F(X)``, ``X2 = F(X1)``, the steplength
+    ``a = min(-|r| / |v|, -1)`` from ``r = X1 - X`` and
+    ``v = X2 - 2 X1 + X``, and ends on ``F(X - 2 a r + a^2 v)``; while that
+    point's stress exceeds the stress of ``X``, ``a`` moves halfway to -1
+    (to -1 itself from above -1.5), where the point is ``X2``.  With no
+    transform left in ``max_iterations`` the cycle ends on its last plain
+    step instead.  A cycle's end is kept unless its stress rose.  The map
+    is :func:`reference_map`'s.
+    """
+    step, score = reference_map(W, targets, update, unit_weights=unit_weights)
+    X = X - X.mean(axis=0)
+    dist, WT, stress = score(X, targets)
+    history = [stress]
+    transforms = 0
+    converged = False
+    while not converged and transforms < max_iterations:
+        X0, s0 = X, stress
+        X1 = step(X0, dist, WT)
+        dist, WT, end = score(X1)
+        transforms += 1
+        Y = X1
+        if transforms < max_iterations:
+            X2 = step(X1, dist, WT)
+            transforms += 1
+            r = X1 - X0
+            v = X2 - X1 - r
+            rr, vv = float(np.dot(r.ravel(), r.ravel())), float(np.dot(v.ravel(), v.ravel()))
+            alpha = min(-np.sqrt(rr / vv), -1.0) if vv > 0 else -1.0
+            while transforms < max_iterations:
+                P = X2 if alpha == -1.0 else X0 - 2.0 * alpha * r + alpha * alpha * v
+                Y = step(P, *score(P)[:2])
+                dist, WT, end = score(Y)
+                transforms += 1
+                if end <= s0 or alpha == -1.0:
+                    break
+                alpha = (alpha - 1.0) / 2.0 if alpha < -1.5 else -1.0
+            else:  # no transform left: the last plain step
+                Y = X2
+                dist, WT, end = score(Y)
+        if end <= s0:
+            X, stress = Y, end
+        history.append(stress)
+        converged = s0 - stress < epsilon
+    return X, history, transforms, converged
+
+
+def relaxed_smacof(W, targets, X, epsilon, max_iterations, relaxation):
+    """Baseline: the over-relaxed Guttman step the core took before SQUAREM.
+
+    Each iteration takes ``G = F(X)`` and moves to
+    ``relaxation * G - (relaxation - 1) * X``; the last iteration keeps
+    ``G`` instead when its stress is lower.  ``relaxation=1`` is the plain
+    step.  Targets are fixed.
+    """
+    step, score = reference_map(W, targets)
+    X = X - X.mean(axis=0)
+    dist, WT, stress = score(X)
+    history = [stress]
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        G = step(X, dist, WT)
         X = relaxation * G - (relaxation - 1.0) * X
         dist, WT, current = score(X)
         history.append(current)
@@ -729,12 +790,13 @@ def test_warm_started_ordinal_fit_matches_cold_transforms(monkeypatch):
 
 
 def test_last_iteration_keeps_a_plain_step_that_lands_on_the_optimum():
-    # one plain step puts two points at their target distance; every
-    # relaxed step overshoots it by 0.9 of the error left
+    # one plain step puts two points at their target distance, where the
+    # next step stays: r = -v, so the steplength is -1 and the first cycle
+    # is three plain steps; the second changes nothing and ends the fit
     W = 1.0 - np.eye(2)
     X, history, iterations, converged = _smacof(W, W.copy(), np.array([[0.0, 0.0], [3.0, 1.0]]),
                                                 1e-6, 1000)
-    assert converged and len(history) == iterations + 1
+    assert converged and (iterations, len(history)) == (6, 3)
     assert abs(np.linalg.norm(X[0] - X[1]) - 1.0) <= 1e-12
     assert history[-1] <= 1e-24
 
@@ -751,23 +813,94 @@ def random_connected_hops(seed):
     return shortest_path_lengths(G)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_relaxed_step_needs_fewer_iterations_than_the_plain_step(seed):
-    # spring-layout fits, run to 1e-10 so both steps reach a stationary
-    # layout; at the layout's 1e-6 the plain fit at times stops earlier
-    # on a slow stretch, at a higher energy
+@functools.lru_cache(maxsize=None)
+def layout_fits(seed):
+    """Spring-layout fits of ``random_connected_hops(seed)`` from the layout's
+    start, run to 1e-10, by name: ``squarem`` (the core), ``relaxed`` and
+    ``plain``; each is ``(history, transforms, converged)``."""
     d = random_connected_hops(seed)
     W = 1.0 / np.where(d > 0, d, 1.0) ** 2
     np.fill_diagonal(W, 0.0)
     # the layout's start: classical scaling plus a jitter of 1e-5 diameters
     X = classical_init(d, 2)
     X += 1e-5 * float(d.max()) * np.random.default_rng(0).standard_normal(X.shape)
-    _, history, iterations, converged = _smacof(W, d, X, 1e-10, 5000)
-    _, plain_history, plain_iterations, plain_converged = reference_smacof(
-        W, d, X, 1e-10, 5000, relaxation=1.0)
+    fits = {"squarem": _smacof(W, d, X, 1e-10, 5000),
+            "relaxed": relaxed_smacof(W, d, X, 1e-10, 5000, 1.9),
+            "plain": relaxed_smacof(W, d, X, 1e-10, 5000, 1.0)}
+    return {name: fit[1:] for name, fit in fits.items()}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_relaxed_step_needs_fewer_iterations_than_the_plain_step(seed):
+    # the baselines of the SQUAREM test below: run to 1e-10 so both steps
+    # reach a stationary layout; at the layout's 1e-6 the plain fit at
+    # times stops earlier on a slow stretch, at a higher energy
+    fits = layout_fits(seed)
+    history, iterations, converged = fits["relaxed"]
+    plain_history, plain_iterations, plain_converged = fits["plain"]
     assert converged and plain_converged
     assert plain_iterations >= 1.25 * iterations
     assert history[-1] <= plain_history[-1] * (1 + 1e-3)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_squarem_needs_fewer_transforms_than_the_plain_and_relaxed_steps(seed):
+    # 78-181 transforms against 130-399 (relaxed) and 240-743 (plain)
+    fits = layout_fits(seed)
+    history, transforms, converged = fits["squarem"]
+    assert converged
+    for name in ("relaxed", "plain"):
+        baseline_history, baseline_transforms, _ = fits[name]
+        assert baseline_transforms >= 1.5 * transforms, name
+        assert history[-1] <= baseline_history[-1] * (1 + 1e-3), name
+
+
+def _cap_fit(max_iterations):
+    """A fixed-target fit of 12 points in 2-D from a random start, stopped
+    at ``max_iterations`` far from convergence."""
+    rng = np.random.default_rng(31)
+    W = np.triu(rng.uniform(0.5, 2.0, (12, 12)), 1)
+    T = _distances(rng.standard_normal((12, 3)))
+    return W + W.T, T, _smacof(W + W.T, T, rng.standard_normal((12, 2)), 1e-15, max_iterations)
+
+
+def fixed_target_stress(W, T, X):
+    r = T - _distances(X)
+    return float((W * r * r).sum() / (W * T * T).sum())
+
+
+@pytest.mark.parametrize("cap", [1, 2, 4, 5])
+def test_a_cap_inside_a_cycle_ends_on_its_last_plain_step(cap):
+    # cycles take three transforms; the cap ends the last one after one or
+    # two plain steps, and the reported stress is that of the point returned
+    W, T, (X, history, iterations, converged) = _cap_fit(cap)
+    assert (iterations, converged, len(history)) == (cap, False, 2 + (cap > 3))
+    assert history[-1] == pytest.approx(fixed_target_stress(W, T, X), rel=1e-12)
+    assert history[-1] < history[-2]
+    # the cap's plain steps are the first steps of the uncut cycle
+    full = _cap_fit(cap + 3 - cap % 3)[2][1]
+    assert full[:-1] == history[:-1] and full[-1] <= history[-1]
+
+
+def test_a_cycle_backtracks_and_a_cap_after_the_backtrack_ends_on_x2():
+    # on this input the third cycle ends above the stress it started from,
+    # so its steplength backtracks: one more transform, ten in all, where
+    # cycles alone take multiples of three
+    rng = np.random.default_rng(107)
+    n, k = int(rng.integers(3, 9)), int(rng.integers(1, 3))
+    W = np.triu(rng.uniform(0.0, 5.0, (n, n)), 1)
+    T = np.triu(rng.uniform(0.0, 10.0, (n, n)), 1)
+    W, T, X0 = W + W.T, T + T.T, rng.standard_normal((n, k))
+    X, history, iterations, converged = _smacof(W, T, X0, 1e-12, 300)
+    assert (n, k, iterations, converged, len(history)) == (3, 2, 10, True, 4)
+    assert history[-1] == pytest.approx(fixed_target_stress(W, T, X), rel=1e-12)
+    # with nine transforms, the backtrack has none left: the cycle ends on
+    # its second plain step
+    X, capped, iterations, converged = _smacof(W, T, X0, 1e-12, 9)
+    assert (iterations, len(capped)) == (9, 4)
+    assert capped[:3] == history[:3] and capped[3] <= capped[2]
+    assert converged == (capped[2] - capped[3] < 1e-12)
+    assert capped[3] == pytest.approx(fixed_target_stress(W, T, X), rel=1e-12)
 
 
 def _unknown_level():
@@ -798,22 +931,35 @@ def test_bad_setting_is_refused(case):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("level, bound", [("ordinal", 12.5), ("ratio", 8.5)])
-def test_fit_holds_each_square_array_only_while_it_uses_it(level, bound, traced_peak):
-    # traced peak in n x n float64 arrays, random start, n = 300: 11.7 (ordinal)
-    # and 8.2 (ratio).  A fit that copied the frozen dissimilarities and kept
-    # the start's distances, the masked copy and V's eigenvectors to its end
-    # peaked at 16.7 and 13.2.
+def _traced_fit_peak(traced_peak, level, init):
+    """Traced peak of a 3-transform fit of 300 points, in n x n float64 arrays."""
     n = 300
     rng = np.random.default_rng(26)
     d = _distances(rng.standard_normal((n, 3)))
     P = ProximityMatrix(tuple(f"p{i}" for i in range(n)), d, kind="dissimilarity")
-    cfg = MdsConfig(dimensions=2, level=level, init="random", seed=1, max_iterations=3)
+    cfg = MdsConfig(dimensions=2, level=level, init=init, seed=1, max_iterations=3)
 
     def fit():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # stopped at the cap
             return mds(P, cfg)
 
-    peak = traced_peak(fit)[1]
-    assert peak < bound * d.nbytes
+    return traced_peak(fit)[1] / d.nbytes
+
+
+@pytest.mark.parametrize("level, bound", [("ordinal", 11.2), ("ratio", 8.5)])
+def test_fit_holds_each_square_array_only_while_it_uses_it(level, bound, traced_peak):
+    # traced peak, random start: 10.7 (ordinal) and 8.2 (ratio).  An ordinal
+    # fit that zero-filled a fresh disparity matrix on every call, holding
+    # the last call's meanwhile, and kept W * targets to its end peaked at
+    # 11.7; one that also copied the frozen dissimilarities and kept the
+    # start's distances, the masked copy and V's eigenvectors, at 16.7
+    # (ratio: 13.2)
+    assert _traced_fit_peak(traced_peak, level, "random") < bound
+
+
+def test_classical_start_holds_no_more_square_arrays_than_the_fit(traced_peak):
+    # traced peak 8.2, that of the fit from a random start: a classical start
+    # that kept the filled dissimilarities, their squares, J and J D^2 J
+    # while the eigensolver copied its argument peaked at 10.1
+    assert _traced_fit_peak(traced_peak, "ratio", "classical") < 8.7
