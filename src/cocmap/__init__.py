@@ -20,7 +20,6 @@ from .errors import (
     MalformedLine,
     NegativeCount,
     NegativeResult,
-    NoConvergence,
     OutOfRange,
     UnknownDataset,
     ZeroNormColumn,

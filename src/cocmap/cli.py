@@ -10,8 +10,9 @@ with the input hash, configuration, and fit statistics; identical
 invocations produce byte-identical reports apart from the timestamp.
 
 Exit codes: 0 success, 1 data error (message carries the module-qualified
-error name), 2 usage error.  Warnings (a fit stopped at its iteration cap,
-suspect input) print as ``warning: <message>`` on stderr.
+error name), 2 usage error.  Warnings (a fit stopped at its iteration cap, a
+varimax rotation at its sweep cap, suspect input) print as
+``warning: <message>`` on stderr.
 """
 
 from __future__ import annotations
@@ -152,7 +153,8 @@ def _write_configuration(C, out_dir: Path, stem: str):
     path = _write(out_dir / "configuration.csv", _coords_csv(C.labels, C.coords))
     history = C.stress_history
     return [path], {"stress": C.stress, "iterations": C.iterations_used,
-                    "converged": C.converged, "last_stress_change": history[-2] - history[-1]}
+                    "converged": C.converged, "last_stress_change": history[-2] - history[-1],
+                    "residual": C.residual}
 
 
 def _write_loadings(L, out_dir: Path, stem: str):
@@ -165,7 +167,8 @@ def _write_loadings(L, out_dir: Path, stem: str):
     }
     if L.rotation == "varimax":
         results.update(varimax_criterion=L.rotation_criterion,
-                       last_criterion_change=L.rotation_criterion_change)
+                       last_criterion_change=L.rotation_criterion_change,
+                       converged=L.rotation_converged)
     return paths, results
 
 
@@ -174,7 +177,7 @@ def _write_layout(value, out_dir: Path, stem: str):
     paths = [_write(out_dir / "layout.net", layout_mod.export_pajek(graph, result)),
              _write(out_dir / "layout.svg", layout_mod.export_svg(graph, result))]
     return paths, {"final_energy": result.final_energy, "iterations": result.iterations,
-                   "converged": result.converged, "max_gradient": result.max_gradient,
+                   "converged": result.converged, "residual": result.residual,
                    "nodes": graph.n, "edges": len(graph.edges)}
 
 

@@ -89,16 +89,6 @@ class DegenerateConfiguration(CocmapError):
 
 
 # ---------------------------------------------------------------------------
-# factor
-# ---------------------------------------------------------------------------
-
-class NoConvergence(CocmapError):
-    """An iterative routine hit its sweep cap before converging."""
-
-    module = "factor"
-
-
-# ---------------------------------------------------------------------------
 # ingest
 # ---------------------------------------------------------------------------
 

@@ -7,7 +7,8 @@ planar varimax procedure with optional Kaiser normalization (rows scaled to
 unit communality before rotating, rescaled after).  Each sweep visits every
 factor pair once in round-robin order: rounds of disjoint pairs, each round
 rotated in one numpy step.  Rotated factors are returned in descending order
-of explained variance.
+of explained variance; a rotation still rising at its sweep cap warns and
+keeps its last sweep.
 
 The symmetric eigensolver is a thin wrapper over LAPACK's symmetric driver
 (``np.linalg.eigh``) that fixes the eigenvalue order and eigenvector signs;
@@ -17,14 +18,19 @@ module.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
 from .ingest import _labelled_csv
 from .matrices import OccurrenceMatrix, ProximityMatrix, _freeze
 from .proximity import pearson_columns
+
+#: a varimax rotation stops once a sweep raises the criterion by less than this
+VARIMAX_TOLERANCE = 1e-6
+#: the cap on varimax sweeps; at least 1, so the last sweep's change exists
+VARIMAX_MAX_SWEEPS = 100
 
 
 def _fix_column_signs(L: np.ndarray) -> np.ndarray:
@@ -70,7 +76,8 @@ class LoadingsMatrix:
     After a varimax rotation, ``rotation_criterion`` is the final varimax
     criterion of the rotated loadings (row-normalized when the rotation
     used Kaiser normalization) and ``rotation_criterion_change`` the rise
-    of the criterion over the last sweep.
+    of the criterion over the last sweep; ``rotation_converged`` is false
+    when the rotation stopped at the sweep cap instead.
     """
 
     variable_labels: tuple[str, ...]
@@ -81,6 +88,7 @@ class LoadingsMatrix:
     rotation_iterations: int = 0
     rotation_criterion: float = 0.0
     rotation_criterion_change: float = 0.0
+    rotation_converged: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "variable_labels", tuple(str(x) for x in self.variable_labels))
@@ -178,13 +186,14 @@ def _varimax_sweeps(L: np.ndarray, tol: float, max_sweeps: int):
     independently.  With ``z = x + iy`` for the pair's columns and
     ``w = z**2``, ``den + i*num = sum(w**2) - sum(w)**2 / p``, and the rotation
     is ``z * exp(-i*phi)``.  ``T`` is stacked under the loadings so both turn
-    together; the criterion is recorded once per sweep.
+    together; the criterion is recorded once per sweep.  The sweeps stop once
+    one raises the criterion by less than ``tol``, or after ``max_sweeps``.
     """
     p, m = L.shape
     S = np.vstack([L, np.eye(m)])
     rounds = _round_robin(m)
     history = [_varimax_criterion(L)]
-    for sweep in range(1, max_sweeps + 1):
+    for _ in range(max_sweeps):
         for a, b in rounds:
             z = S[:, a] + 1j * S[:, b]
             w = z[:p] ** 2
@@ -193,12 +202,11 @@ def _varimax_sweeps(L: np.ndarray, tol: float, max_sweeps: int):
             S[:, a], S[:, b] = z.real, z.imag
         history.append(_varimax_criterion(S[:p]))
         if history[-1] - history[-2] < tol:
-            return S[:p].copy(), S[p:].copy(), history
-    raise NoConvergence(f"varimax did not converge within {max_sweeps} sweeps")
+            break
+    return S[:p].copy(), S[p:].copy(), history
 
 
-def varimax(L: LoadingsMatrix, kaiser_normalize: bool = True, tol: float = 1e-6,
-            max_sweeps: int = 100) -> LoadingsMatrix:
+def varimax(L: LoadingsMatrix, kaiser_normalize: bool = True) -> LoadingsMatrix:
     """Varimax rotation of a loadings matrix.
 
     Maximizes the summed per-factor variance of squared loadings over
@@ -210,8 +218,11 @@ def varimax(L: LoadingsMatrix, kaiser_normalize: bool = True, tol: float = 1e-6,
     their rotation order), then signed so each column's largest-magnitude
     loading is positive.  The result carries the final criterion and its
     change over the last sweep, so fits that stop at different local
-    maxima can be told apart.  A single factor has nothing to rotate
-    against, so one-factor loadings come back unchanged after zero sweeps.
+    maxima can be told apart.  A rotation still rising at the cap of
+    ``VARIMAX_MAX_SWEEPS`` sweeps warns with its last criterion change and
+    keeps its last sweep, with ``rotation_converged`` false.  A single factor
+    has nothing to rotate against, so one-factor loadings come back
+    unchanged after zero sweeps.
     """
     if L.n_factors < 1:
         raise ValueError("varimax needs at least one factor")
@@ -224,7 +235,12 @@ def varimax(L: LoadingsMatrix, kaiser_normalize: bool = True, tol: float = 1e-6,
         return LoadingsMatrix(L.variable_labels, L.loadings, L.eigenvalues,
                               L.explained_variance_pct, rotation="varimax",
                               rotation_criterion=_varimax_criterion(A))
-    rotated, _T, history = _varimax_sweeps(A, tol, max_sweeps)
+    rotated, _T, history = _varimax_sweeps(A, VARIMAX_TOLERANCE, VARIMAX_MAX_SWEEPS)
+    change = history[-1] - history[-2]
+    converged = change < VARIMAX_TOLERANCE
+    if not converged:
+        warnings.warn(f"varimax stopped at the cap of {len(history) - 1} sweeps; the last "
+                      f"criterion change was {change:.3g}", stacklevel=2)
     if kaiser_normalize:
         rotated = rotated * safe[:, None]
     ss = (rotated**2).sum(axis=0)
@@ -238,7 +254,8 @@ def varimax(L: LoadingsMatrix, kaiser_normalize: bool = True, tol: float = 1e-6,
         rotation="varimax",
         rotation_iterations=len(history) - 1,
         rotation_criterion=history[-1],
-        rotation_criterion_change=history[-1] - history[-2],
+        rotation_criterion_change=change,
+        rotation_converged=converged,
     )
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .ingest import _number_cells
 from .matrices import CooccurrenceMatrix, _as_labels, _freeze
-from .mds import MdsConfig, _distances, _smacof, classical_init
+from .mds import MdsConfig, _components, _smacof, classical_init
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,10 @@ class LayoutResult:
     ``converged`` is true when every component stopped on the energy change
     of a SQUAREM cycle rather than at the cap.  ``initial_energy`` is the
     spring energy of the classical scaling start; majorization only ever
-    lowers it.  ``max_gradient`` is the largest per-vertex norm of the
-    spring energy's gradient at ``positions``: zero at a stationary layout.
+    lowers it.  ``residual`` is the largest Guttman residual
+    ``|X - G| / |G|`` over the components, ``X`` a component's positions and
+    ``G`` their Guttman transform: zero at a stationary layout, whatever its
+    size.
     """
 
     positions: np.ndarray
@@ -87,7 +89,7 @@ class LayoutResult:
     iterations: int
     initial_energy: float = 0.0
     converged: bool = True
-    max_gradient: float = 0.0
+    residual: float = 0.0
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
@@ -135,18 +137,6 @@ def shortest_path_lengths(G: WeightedGraph) -> np.ndarray:
     return dist
 
 
-def _components(hops: np.ndarray) -> list[list[int]]:
-    """Connected components from hop counts, by smallest member; members sorted."""
-    placed = np.zeros(len(hops), dtype=bool)
-    comps = []
-    for seed in range(len(hops)):
-        if not placed[seed]:
-            comp = np.flatnonzero(np.isfinite(hops[seed]))
-            placed[comp] = True
-            comps.append(comp.tolist())
-    return comps
-
-
 def kamada_kawai(G: WeightedGraph) -> LayoutResult:
     """Spring embedding of a graph in the plane, one hop of length 1.
 
@@ -160,14 +150,16 @@ def kamada_kawai(G: WeightedGraph) -> LayoutResult:
     if n < 2:
         raise ValueError("layout needs at least two nodes")
     hops = shortest_path_lengths(G)
-    comps = _components(hops)
+    # components by smallest member, members ascending
+    label = _components(np.isfinite(hops))
+    comps = [np.flatnonzero(label == c) for c in np.unique(label)]
     positions = np.zeros((n, 2))
     total_energy = 0.0
     initial_energy = 0.0
     total_iterations = 0
     all_converged = True
-    max_gradient = 0.0
-    placed: list[tuple[list[int], np.ndarray]] = []
+    residual = 0.0
+    placed: list[tuple[np.ndarray, np.ndarray]] = []
     for comp in comps:
         k = len(comp)
         if k == 1:
@@ -184,15 +176,15 @@ def kamada_kawai(G: WeightedGraph) -> LayoutResult:
         X[:, :min(2, k - 1)] = classical_init(d, min(2, k - 1))
         X += 1e-5 * float(d.max()) * np.random.default_rng(0).standard_normal((k, 2))
         # stop as mds() does by default
-        X, history, iterations, converged = _smacof(W, d, X, MdsConfig.epsilon,
-                                                    MdsConfig.max_iterations)
+        X, history, iterations, converged, r = _smacof(W, d, X, MdsConfig.epsilon,
+                                                       MdsConfig.max_iterations)
         # the history is normalized by the energy's weighted target sum
         scale = float((W * d * d).sum()) / 2
         if not converged:
             warnings.warn(f"layout of the {k}-vertex component with {G.node_labels[comp[0]]!r} "
                           f"stopped at the cap of {iterations} iterations; the last energy "
                           f"change was {(history[-2] - history[-1]) * scale:.3g}", stacklevel=2)
-        max_gradient = max(max_gradient, _max_gradient(W, d, X))
+        residual = max(residual, r)
         initial_energy += history[0] * scale
         total_energy += history[-1] * scale
         total_iterations += iterations
@@ -215,23 +207,7 @@ def kamada_kawai(G: WeightedGraph) -> LayoutResult:
         x_cursor += size[0] + pad
         row_height = max(row_height, float(size[1]))
     return LayoutResult(positions, total_energy, total_iterations, initial_energy,
-                        all_converged, max_gradient)
-
-
-def _max_gradient(W: np.ndarray, d: np.ndarray, X: np.ndarray) -> float:
-    """Largest vertex gradient norm of ``sum_{i<j} W_ij (|x_i - x_j| - d_ij)^2``.
-
-    The gradient at ``x_i`` is ``2 sum_j W_ij (1 - d_ij / |x_i - x_j|) (x_i - x_j)``;
-    a coincident pair contributes nothing, as in the SMACOF update.  With
-    ``F = W - W d / dist`` that sum is ``2 (F.sum(1) x_i - (F X)_i)``, the
-    core's own ``B(X) X`` algebra.
-    """
-    dist = _distances(X)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        F = W - W * d / dist
-    F[dist == 0] = 0.0
-    grad = 2.0 * (F.sum(axis=1)[:, None] * X - F @ X)
-    return float(np.sqrt((grad**2).sum(axis=1)).max())
+                        all_converged, residual)
 
 
 def _unit_box(layout: LayoutResult) -> np.ndarray:

@@ -107,7 +107,8 @@ class MdsConfig:
 
 @dataclass(frozen=True, eq=False)
 class Configuration:
-    """A fitted embedding: centered coordinates plus the final stress."""
+    """A fitted embedding: centered coordinates ``X``, the final stress and
+    the Guttman residual ``|X - G| / |G|`` of ``X`` (see :func:`mds`)."""
 
     labels: tuple[str, ...]
     coords: np.ndarray
@@ -115,6 +116,7 @@ class Configuration:
     iterations_used: int
     converged: bool
     stress_history: tuple[float, ...] = ()
+    residual: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "coords", _freeze(np.asarray(self.coords, dtype=float)))
@@ -489,8 +491,8 @@ def transform_disparities(delta, dist, level: str, mask, *, fixed=None, out=None
 
 
 def _components(W) -> np.ndarray:
-    """The component of each point in the graph of the positive weights of ``W``,
-    named by its first point."""
+    """The component of each point in the graph of the positive (or true)
+    entries of ``W``, named by its first point."""
     n = len(W)
     adj = W > 0
     label = np.full(n, -1)
@@ -529,11 +531,14 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
     the Guttman transforms; a cap that leaves a cycle too few for its
     stabilizing step ends it on its last plain step.  A cycle's end whose
     stress rose, which only rounding can do, is not kept.
-    Returns ``(X, history, iterations, converged)``: ``history`` holds the
-    normalized raw stress ``sum_w (targets - d)^2 / sum_w targets^2`` at the
-    start and at the end of every cycle, ``iterations`` counts the Guttman
-    transforms, and the run has converged once a cycle lowers the stress by
-    less than ``epsilon``.
+    Returns ``(X, history, iterations, converged, residual)``: ``history``
+    holds the normalized raw stress ``sum_w (targets - d)^2 / sum_w targets^2``
+    at the start and at the end of every cycle, ``iterations`` counts the
+    Guttman transforms, and the run has converged once a cycle lowers the
+    stress by less than ``epsilon``.  ``residual`` is ``|X - G| / |G|``, ``G``
+    the Guttman transform of the returned ``X``, which ``iterations`` does
+    not count: the stress gradient is ``2 V (X - G)``, so it is 0 at a
+    stationary point, whatever its scale.
     """
     # V+ B(X) X = (V + E)^-1 B(X) X, where E_ij = 1 when i and j share a
     # component of the weight graph: (V + E)^-1 = V+ + sum_c 1_c 1_c' / |c|^2
@@ -631,7 +636,8 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
             X, start = Y, stress
         history.append(start)
         converged = history[-2] - start < epsilon
-    return X, history, iterations, converged
+    G = guttman(X, *score(X)[:2])
+    return X, history, iterations, converged, float(np.linalg.norm(X - G) / np.linalg.norm(G))
 
 
 def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
@@ -642,9 +648,10 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
     the measurement level the fit assumes.  Returns a centered
     :class:`Configuration` whose ``stress_history`` records the normalized
     raw stress at the start and after every SQUAREM cycle (the last entry
-    is that of the point the fit returns) and whose ``iterations_used``
-    counts Guttman transforms.  A point with no observed dissimilarity is
-    named in a warning: nothing places it.  A fit that stops at
+    is that of the point the fit returns), whose ``iterations_used``
+    counts Guttman transforms and whose ``residual`` measures how far the
+    returned point is from stationary.  A point with no observed
+    dissimilarity is named in a warning: nothing places it.  A fit that stops at
     ``cfg.max_iterations`` warns with the stress change of its last cycle.
     """
     work = to_dissimilarity(P) if P.kind == "similarity" else P
@@ -700,8 +707,8 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
             r = fitted - xv
             return T, float(np.dot(r, r)) / float(np.dot(fitted, fitted))
 
-    X, history, iterations, converged = _smacof(W, dhat, X, cfg.epsilon, cfg.max_iterations,
-                                                update)
+    X, history, iterations, converged, residual = _smacof(W, dhat, X, cfg.epsilon,
+                                                          cfg.max_iterations, update)
     if not converged:
         warnings.warn(f"SMACOF stopped at the cap of {iterations} iterations; the last "
                       f"stress change was {history[-2] - history[-1]:.3g}", stacklevel=2)
@@ -712,4 +719,5 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
         iterations_used=iterations,
         converged=converged,
         stress_history=tuple(history),
+        residual=residual,
     )

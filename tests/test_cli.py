@@ -235,7 +235,7 @@ class TestFactorCommand:
         assert run(["factor", "--in", str(records_file), "--factors", "2", "--rotate", "none",
                     "--out", str(out)]) == 0
         results = read_report(out, "factor")["results"]
-        assert not {"varimax_criterion", "last_criterion_change"} & set(results)
+        assert not {"varimax_criterion", "last_criterion_change", "converged"} & set(results)
 
 
 class TestLayoutCommand:
@@ -314,10 +314,13 @@ class TestSubcommandPipelineParity:
                     "--out", str(tmp_path / "pipe")]) == 0
         sub = read_report(tmp_path / "sub", "mds")["results"]
         pipe = read_report(tmp_path / "pipe", "pipeline")["results"]
-        assert set(sub) == {"stress", "iterations", "converged", "last_stress_change"}
+        assert set(sub) == {"stress", "iterations", "converged", "last_stress_change",
+                            "residual"}
         assert set(sub) <= set(pipe)
-        history = mds(builtin_dataset("cities")).stress_history
+        fit = mds(builtin_dataset("cities"))
+        history = fit.stress_history
         assert sub["last_stress_change"] == history[-2] - history[-1]
+        assert sub["residual"] == fit.residual
 
     def test_mds_results_match_pipeline_on_the_same_matrix(self, tmp_path, records_file):
         assert run(["prox", "--in", str(records_file), "--measure", "pearson", "--shift",
@@ -336,7 +339,7 @@ class TestSubcommandPipelineParity:
                     "--out", str(tmp_path / "pipe")]) == 0
         sub = read_report(tmp_path / "sub", "layout")["results"]
         pipe = read_report(tmp_path / "pipe", "pipeline")["results"]
-        assert set(sub) == {"final_energy", "iterations", "converged", "max_gradient", "nodes",
+        assert set(sub) == {"final_energy", "iterations", "converged", "residual", "nodes",
                             "edges"}
         assert set(sub) <= set(pipe)
 
@@ -360,6 +363,7 @@ class TestSubcommandPipelineParity:
         sub = read_report(tmp_path / "sub", "factor")["results"]
         pipe = read_report(tmp_path / "pipe", "pipeline")["results"]
         assert {"varimax_criterion", "last_criterion_change"} <= set(sub)
+        assert sub["converged"] is True
         assert sub.items() <= pipe.items()
         for name in ("loadings.csv", "loadings.txt"):
             assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "pipe" / name).read_bytes()

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from cocmap import (
     LoadingsMatrix,
-    NoConvergence,
     ProximityMatrix,
     builtin_dataset,
     eigen_symmetric,
@@ -20,9 +20,12 @@ from cocmap import (
     loadings_to_csv,
     pca_from_correlation,
     pca_from_occurrence,
+    parse_rectangular_matrix,
     varimax,
 )
-from cocmap.factor import _round_robin, _varimax_criterion, _varimax_sweeps
+import cocmap.factor as factor_module
+from cocmap.cli import run
+from cocmap.factor import VARIMAX_TOLERANCE, _round_robin, _varimax_criterion, _varimax_sweeps
 
 
 def random_correlation(rng, p):
@@ -50,12 +53,14 @@ def serial_varimax_sweeps(L, tol, max_sweeps):
     """Test-only reference: every factor pair in turn, ``for a ... for b ...``.
 
     This is the element-by-element loop the round-robin sweeps replaced.
+    Like them, it stops once a sweep raises the criterion by less than
+    ``tol``, or after ``max_sweeps``.
     """
     A = L.copy()
     p, m = A.shape
     T = np.eye(m)
     history = [_varimax_criterion(A)]
-    for sweep in range(1, max_sweeps + 1):
+    for _ in range(max_sweeps):
         for a in range(m - 1):
             for b in range(a + 1, m):
                 x, y = A[:, a], A[:, b]
@@ -72,8 +77,8 @@ def serial_varimax_sweeps(L, tol, max_sweeps):
                 T[:, [a, b]] = T[:, [a, b]] @ np.array([[c, -s], [s, c]])
         history.append(_varimax_criterion(A))
         if history[-1] - history[-2] < tol:
-            return A, T, history
-    raise NoConvergence(f"varimax did not converge within {max_sweeps} sweeps")
+            break
+    return A, T, history
 
 
 def canonical_columns(L):
@@ -350,12 +355,36 @@ class TestVarimax:
         assert V.rotation_criterion == _varimax_criterion(np.asarray(L.loadings))
         assert V.rotation_criterion_change == 0.0
 
-    def test_sweep_cap_raises(self):
+    @pytest.mark.filterwarnings("default::UserWarning")
+    def test_cli_warns_and_keeps_the_last_sweep_at_the_cap(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(factor_module, "VARIMAX_MAX_SWEEPS", 1)
         rng = np.random.default_rng(13)
-        R = random_correlation(rng, 6)
-        L = pca_from_correlation(R, n_factors=3)
-        with pytest.raises(NoConvergence):
-            varimax(L, max_sweeps=0)
+        labels = [f"a{j}" for j in range(8)]
+        rows = [f"d{i}," + ",".join(map(str, row))
+                for i, row in enumerate(rng.integers(0, 3, (40, 8)).tolist())]
+        (tmp_path / "counts.csv").write_text("," + ",".join(labels) + "\n"
+                                             + "\n".join(rows) + "\n")
+        out = tmp_path / "out"
+        assert run(["factor", "--in", str(tmp_path / "counts.csv"), "--format", "matrix",
+                    "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "warning: varimax stopped at the cap of 1 sweeps; the last criterion change was ")
+        assert err.count("\n") == 1
+        assert (out / "loadings.txt").exists()
+        results = json.loads((out / "factor_report.json").read_text())["results"]
+        assert results["converged"] is False and results["rotation_iterations"] == 1
+        # the loadings of the last sweep are still an orthogonal rotation
+        with open(out / "loadings.csv", newline="") as f:
+            rotated = np.array([row[1:] for row in list(csv.reader(f))[1:]], dtype=float)
+        A = np.asarray(pca_from_occurrence(
+            parse_rectangular_matrix((tmp_path / "counts.csv").read_text())).loadings)
+        assert A.shape == rotated.shape and A.shape[1] > 2
+        T = np.linalg.lstsq(A, rotated, rcond=None)[0]
+        np.testing.assert_allclose(T.T @ T, np.eye(A.shape[1]), atol=1e-9)
+        np.testing.assert_allclose(A @ T, rotated, atol=1e-9)
+        np.testing.assert_allclose((rotated**2).sum(axis=1), (A**2).sum(axis=1), atol=1e-9)
 
 
 class TestRoundRobinSchedule:
@@ -392,10 +421,9 @@ class TestRoundRobinSchedule:
         rng = np.random.default_rng(seed)
         R = factor_correlation(rng, p, m) if structured else random_correlation(rng, p)
         L = pca_from_correlation(R, n_factors=m)
-        tol = 1e-6
-        V = np.asarray(varimax(L, kaiser_normalize=False, tol=tol).loadings)
+        V = np.asarray(varimax(L, kaiser_normalize=False).loadings)
         worst = max(best_pair_gain(V, a, b) for a, b in combinations(range(m), 2))
-        assert worst <= tol
+        assert worst <= VARIMAX_TOLERANCE
 
 
 @settings(max_examples=60, deadline=None)

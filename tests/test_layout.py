@@ -31,6 +31,7 @@ from cocmap.layout import (
     SVG_MARGIN,
     SVG_WIDTH,
 )
+from test_mds import reference_map, reference_residual
 
 
 def edge_lengths(result, graph):
@@ -289,17 +290,31 @@ class TestKamadaKawai:
                 mine = spring_energy(np.asarray(X), hops)
                 assert abs(mine - energy) <= 1e-9 * mine
 
-    def test_max_gradient_matches_the_spring_gradients(self):
+    def test_residual_matches_the_pseudo_inverse_map(self):
+        # the largest Guttman residual over the components, each taken from
+        # its centered positions under reference_map's pseudo-inverse map
         rng = np.random.default_rng(4)
         graphs = [random_connected_graph(rng, int(rng.integers(5, 60))) for _ in range(10)]
         graphs += [random_graph(rng, 40, 0.06) for _ in range(3)]
+        # a four-leaf star, a K2,3 and an isolated edge: twin leaves and a
+        # two-vertex component
+        star = tuple((0, leaf, 1.0) for leaf in range(1, 5))
+        k23 = tuple((i, j, 1.0) for i in (5, 6) for j in (7, 8, 9))
+        graphs.append(WeightedGraph(tuple(f"v{i}" for i in range(12)),
+                                    star + k23 + ((10, 11, 1.0),)))
         for G in graphs:
             hops = deque_hops(G)
             result = kamada_kawai(G)
             pos = np.asarray(result.positions)
-            mine = max(spring_gradients(pos[c], hops[np.ix_(c, c)]).max()
-                       for c in component_lists(hops) if len(c) > 1)
-            assert abs(result.max_gradient - mine) <= 1e-9 * mine, (result.max_gradient, mine)
+            mine = 0.0
+            for c in component_lists(hops):
+                if len(c) > 1:
+                    d = hops[np.ix_(c, c)]
+                    W = 1.0 / np.where(d > 0, d, 1.0) ** 2
+                    np.fill_diagonal(W, 0.0)
+                    X = pos[c] - pos[c].mean(axis=0)
+                    mine = max(mine, reference_residual(*reference_map(W, d), X))
+            assert abs(result.residual - mine) <= 1e-9 * mine, (result.residual, mine)
 
     def test_warns_when_a_component_stops_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(MdsConfig, "max_iterations", 3)
@@ -432,10 +447,14 @@ class TestSinglePathSearch:
         assert len(calls) == 1
 
     def test_components_in_smallest_member_order(self):
-        from cocmap.layout import _components
+        # the layout names each component by its smallest member and lists
+        # the members in ascending order
+        from cocmap.mds import _components
 
         G = WeightedGraph(tuple("abcdef"), ((1, 4, 1.0), (0, 5, 1.0), (5, 3, 1.0)))
-        assert _components(shortest_path_lengths(G)) == [[0, 3, 5], [1, 4], [2]]
+        label = _components(np.isfinite(shortest_path_lengths(G)))
+        assert [np.flatnonzero(label == c).tolist() for c in np.unique(label)] == \
+            [[0, 3, 5], [1, 4], [2]]
 
 
 class TestPajekQuotes:
@@ -644,8 +663,8 @@ def test_layout_contract_on_random_graphs(G):
         assert dist[np.triu_indices(len(comp), 1)].min(initial=np.inf) > 1e-9, comp
     again = kamada_kawai(G)
     assert np.array_equal(again.positions, result.positions)
-    assert (again.final_energy, again.initial_energy, again.iterations, again.max_gradient) == \
-        (result.final_energy, result.initial_energy, result.iterations, result.max_gradient)
+    assert (again.final_energy, again.initial_energy, again.iterations, again.residual) == \
+        (result.final_energy, result.initial_energy, result.iterations, result.residual)
 
 
 def _graph(*edges):

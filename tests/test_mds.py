@@ -534,7 +534,7 @@ def test_smacof_core_stress_never_rises_under_random_weights(n, k, zeros, ones, 
     T = T + T.T
     assume(float((W * T * T).sum()) > 0)
     X = rng.standard_normal((n, k))
-    _, history, iterations, converged = _smacof(W, T, X, 1e-12, 300)
+    _, history, iterations, converged, _ = _smacof(W, T, X, 1e-12, 300)
     h = np.array(history)
     # one entry per cycle: three transforms or more, bar a last one cut by the cap
     assert 2 <= len(h) <= 1 + -(-iterations // 3)
@@ -670,6 +670,13 @@ def reference_map(W, targets, update=None, *, unit_weights=False):
     return step, score
 
 
+def reference_residual(step, score, X):
+    """``|X - G| / |G|`` for the Guttman transform ``G`` of ``X`` under
+    :func:`reference_map`'s ``step`` and ``score``."""
+    G = step(X, *score(X)[:2])
+    return float(np.linalg.norm(X - G) / np.linalg.norm(G))
+
+
 def reference_smacof(W, targets, X, epsilon, max_iterations, update=None, *,
                      unit_weights=False):
     """Reference: the SMACOF core's SQUAREM cycles written out on their own.
@@ -681,7 +688,7 @@ def reference_smacof(W, targets, X, epsilon, max_iterations, update=None, *,
     (to -1 itself from above -1.5), where the point is ``X2``.  With no
     transform left in ``max_iterations`` the cycle ends on its last plain
     step instead.  A cycle's end is kept unless its stress rose.  The map
-    is :func:`reference_map`'s.
+    is :func:`reference_map`'s, and the residual :func:`reference_residual`'s.
     """
     step, score = reference_map(W, targets, update, unit_weights=unit_weights)
     X = X - X.mean(axis=0)
@@ -717,7 +724,7 @@ def reference_smacof(W, targets, X, epsilon, max_iterations, update=None, *,
             X, stress = Y, end
         history.append(stress)
         converged = s0 - stress < epsilon
-    return X, history, transforms, converged
+    return X, history, transforms, converged, reference_residual(step, score, X)
 
 
 def relaxed_smacof(W, targets, X, epsilon, max_iterations, relaxation):
@@ -765,6 +772,53 @@ def test_unit_weights_match_the_former_one_over_n_update(monkeypatch, level, see
     scale = np.abs(reference.coords).max()
     assert np.abs(fit.coords - reference.coords).max() <= 1e-12 * scale
     assert fit.stress == pytest.approx(reference.stress, rel=1e-11)
+    assert fit.residual == pytest.approx(reference.residual, rel=1e-9, abs=1e-12)
+
+
+def gappy_cities():
+    """The ten cities with two pairs unobserved."""
+    cities = builtin_dataset("cities")
+    d = np.array(cities.data, dtype=float)
+    d[0, 5] = d[5, 0] = d[2, 7] = d[7, 2] = np.nan
+    return ProximityMatrix(cities.labels, d, kind="dissimilarity")
+
+
+def mds_reference_residual(P, level, coords):
+    """The Guttman residual of ``coords`` for the fit :func:`mds` sets up,
+    built here on its own: 0/1 weights on the observed pairs, targets (and
+    at the interval and ordinal levels, disparities) scaled to a sum of
+    squares of ``n (n - 1) / 2`` over the pairs, and :func:`reference_map`'s
+    pseudo-inverse Guttman map."""
+    delta = np.asarray(P.data)
+    n = len(delta)
+    mask = ~np.isnan(delta)
+    np.fill_diagonal(mask, False)
+    W = mask.astype(float)
+    finite = np.where(mask, delta, 0.0)
+    targets = finite * np.sqrt(n * (n - 1) / (W * finite * finite).sum())
+
+    def update(dist):
+        T = transform_disparities(delta, dist, level, mask)
+        return T * np.sqrt(n * (n - 1) / (T * T).sum()), None
+
+    step, score = reference_map(W, targets, None if level == "ratio" else update)
+    return reference_residual(step, score, np.asarray(coords))
+
+
+# fits that end at a residual of 1e-6 to 1e-3, where a relative comparison
+# is meaningful; an exact fit (the cities at the ordinal level) ends at
+# rounding, about 1e-16
+@pytest.mark.parametrize("data, level, seed", [
+    *[("random", level, seed) for level in ("ratio", "interval", "ordinal")
+      for seed in (None, 3)],
+    ("gappy", "ratio", None), ("gappy", "interval", 3), ("gappy", "ordinal", 3)])
+def test_residual_matches_the_pseudo_inverse_map(data, level, seed):
+    P = random_dissimilarity(np.random.default_rng(8), 25) if data == "random" else gappy_cities()
+    fit = mds(P, MdsConfig(level=level, init="classical" if seed is None else "random",
+                           seed=seed))
+    reference = mds_reference_residual(P, level, fit.coords)
+    assert 1e-7 < reference < 1e-2
+    assert abs(fit.residual - reference) <= 1e-9 * reference, (fit.residual, reference)
 
 
 def test_warm_started_ordinal_fit_matches_cold_transforms(monkeypatch):
@@ -794,8 +848,8 @@ def test_last_iteration_keeps_a_plain_step_that_lands_on_the_optimum():
     # next step stays: r = -v, so the steplength is -1 and the first cycle
     # is three plain steps; the second changes nothing and ends the fit
     W = 1.0 - np.eye(2)
-    X, history, iterations, converged = _smacof(W, W.copy(), np.array([[0.0, 0.0], [3.0, 1.0]]),
-                                                1e-6, 1000)
+    X, history, iterations, converged, _ = _smacof(W, W.copy(),
+                                                   np.array([[0.0, 0.0], [3.0, 1.0]]), 1e-6, 1000)
     assert converged and (iterations, len(history)) == (6, 3)
     assert abs(np.linalg.norm(X[0] - X[1]) - 1.0) <= 1e-12
     assert history[-1] <= 1e-24
@@ -827,7 +881,7 @@ def layout_fits(seed):
     fits = {"squarem": _smacof(W, d, X, 1e-10, 5000),
             "relaxed": relaxed_smacof(W, d, X, 1e-10, 5000, 1.9),
             "plain": relaxed_smacof(W, d, X, 1e-10, 5000, 1.0)}
-    return {name: fit[1:] for name, fit in fits.items()}
+    return {name: fit[1:4] for name, fit in fits.items()}
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -873,7 +927,7 @@ def fixed_target_stress(W, T, X):
 def test_a_cap_inside_a_cycle_ends_on_its_last_plain_step(cap):
     # cycles take three transforms; the cap ends the last one after one or
     # two plain steps, and the reported stress is that of the point returned
-    W, T, (X, history, iterations, converged) = _cap_fit(cap)
+    W, T, (X, history, iterations, converged, _) = _cap_fit(cap)
     assert (iterations, converged, len(history)) == (cap, False, 2 + (cap > 3))
     assert history[-1] == pytest.approx(fixed_target_stress(W, T, X), rel=1e-12)
     assert history[-1] < history[-2]
@@ -891,12 +945,12 @@ def test_a_cycle_backtracks_and_a_cap_after_the_backtrack_ends_on_x2():
     W = np.triu(rng.uniform(0.0, 5.0, (n, n)), 1)
     T = np.triu(rng.uniform(0.0, 10.0, (n, n)), 1)
     W, T, X0 = W + W.T, T + T.T, rng.standard_normal((n, k))
-    X, history, iterations, converged = _smacof(W, T, X0, 1e-12, 300)
+    X, history, iterations, converged, _ = _smacof(W, T, X0, 1e-12, 300)
     assert (n, k, iterations, converged, len(history)) == (3, 2, 10, True, 4)
     assert history[-1] == pytest.approx(fixed_target_stress(W, T, X), rel=1e-12)
     # with nine transforms, the backtrack has none left: the cycle ends on
     # its second plain step
-    X, capped, iterations, converged = _smacof(W, T, X0, 1e-12, 9)
+    X, capped, iterations, converged, _ = _smacof(W, T, X0, 1e-12, 9)
     assert (iterations, len(capped)) == (9, 4)
     assert capped[:3] == history[:3] and capped[3] <= capped[2]
     assert converged == (capped[2] - capped[3] < 1e-12)
