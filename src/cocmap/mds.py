@@ -48,7 +48,12 @@ distances are summed one axis at a time, so they stay exact for nearly
 coincident points and every such pair gets its push apart; an exactly
 coincident pair is pushed apart along the first axis.  The iteration itself
 is a weighted SMACOF core that the Kamada-Kawai layout of
-:mod:`cocmap.layout` shares.
+:mod:`cocmap.layout` shares.  A matrix with every pair observed is fit with
+unit weights, whose transform is ``G = B(X) X / n``: no weight matrix, no
+inverse of ``V``.  A matrix with a missing pair is fit with weights 0 and 1
+through the general ``G = V+ B(X) X``.  Interval and ordinal disparities are
+written into the matrix in which ``B(X)`` is then formed, so a fit holds no
+separate disparity matrix.
 """
 
 from __future__ import annotations
@@ -449,9 +454,10 @@ def transform_disparities(delta, dist, level: str, mask, *, fixed=None, out=None
     ``fixed`` is ``_FitPairs(delta, mask, level)``, which :func:`mds`
     builds once per fit and through which an ordinal fit starts from the
     previous call's blocks; it is built afresh when omitted.  ``out`` is
-    a matrix that an earlier call with the same ``mask`` returned: the
-    disparities are written into its pair cells, the only cells any call
-    writes, and it is returned.  A zeroed matrix is made when it is omitted.
+    a matrix that is zero off the ``mask`` pairs, such as one an earlier
+    call with the same ``mask`` returned: the disparities are written into
+    its pair cells, the only cells any call writes, and it is returned.  A
+    zeroed matrix is made when it is omitted.
     """
     fp = _FitPairs(delta, mask, level) if fixed is None else fixed
     upper, lower = fp.upper, fp.lower
@@ -511,26 +517,34 @@ def _components(W) -> np.ndarray:
 def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
     """Weighted SMACOF: minimize ``sum_{i<j} W_ij (targets_ij - d_ij(X))^2``.
 
-    ``W`` is a symmetric non-negative weight matrix with a zero diagonal,
-    ``targets`` the symmetric target distances and ``X`` the start, which is
+    ``W`` is a symmetric non-negative weight matrix with a zero diagonal, or
+    None for unit weights on every pair; ``targets`` holds the symmetric
+    target distances, with a zero diagonal, and ``X`` the start, which is
     centered first.  The map ``F`` is the Guttman transform
     ``G = V+ B(X) X`` (``V`` the weighted Laplacian, ``V+`` its
-    pseudo-inverse), whatever the weights.  Every point the fit scores
-    after the start is passed to ``update(dist)``, when given, which
-    returns ``(WT, stress)`` for its distances: the new targets times ``W``
-    and their normalized stress.  ``F`` cannot raise the stress (de Leeuw
-    1988) but converges only linearly, so the fit runs SQUAREM cycles on it
-    (Varadhan & Roland 2008, steplength SqS3).  A cycle takes two plain
-    steps ``X1 = F(X)`` and ``X2 = F(X1)``, moves to ``X - 2 a r + a^2 v``
-    with ``r = X1 - X``, ``v = X2 - 2 X1 + X`` and
-    ``a = min(-|r| / |v|, -1)``, and ends on one stabilizing step ``F``
-    from there.  Where that end has a higher stress than ``X``, the cycle
-    takes one more transform from a steplength halfway to -1 (-1 itself
-    from above -1.5); at ``a = -1`` the point is ``X2`` and the cycle three
-    plain steps, which cannot raise the stress.  ``max_iterations`` caps
-    the Guttman transforms; a cap that leaves a cycle too few for its
-    stabilizing step ends it on its last plain step.  A cycle's end whose
-    stress rose, which only rounding can do, is not kept.
+    pseudo-inverse).  For unit weights ``V = n I - 1 1'``, whose
+    pseudo-inverse acts on the centered ``B(X) X`` as ``1 / n``, so
+    ``G = B(X) X / n`` (de Leeuw 1988; Borg & Groenen 2005, ch. 8) and no
+    n x n weight or ``V`` matrix is formed.  Every point the fit scores
+    after the start is passed to ``update(dist, out)``, when given, which
+    writes the new targets times ``W`` into ``out`` at every pair of
+    positive weight and returns their normalized stress for the distances
+    ``dist``.  ``out`` is zero at every other cell; it is the matrix that
+    held ``W * targets`` for the first step, which for unit weights is
+    ``targets`` itself: a fit with an update overwrites it, so its caller
+    hands it over.  ``F`` cannot raise the stress (de Leeuw 1988) but
+    converges only linearly, so the fit runs SQUAREM cycles on it (Varadhan
+    & Roland 2008, steplength SqS3).  A cycle takes two plain steps
+    ``X1 = F(X)`` and ``X2 = F(X1)``, moves to ``X - 2 a r + a^2 v`` with
+    ``r = X1 - X``, ``v = X2 - 2 X1 + X`` and ``a = min(-|r| / |v|, -1)``,
+    and ends on one stabilizing step ``F`` from there.  Where that end has a
+    higher stress than ``X``, the cycle takes one more transform from a
+    steplength halfway to -1 (-1 itself from above -1.5); at ``a = -1`` the
+    point is ``X2`` and the cycle three plain steps, which cannot raise the
+    stress.  ``max_iterations`` caps the Guttman transforms; a cap that
+    leaves a cycle too few for its stabilizing step ends it on its last
+    plain step.  A cycle's end whose stress rose, which only rounding can
+    do, is not kept.
     Returns ``(X, history, iterations, converged, residual)``: ``history``
     holds the normalized raw stress ``sum_w (targets - d)^2 / sum_w targets^2``
     at the start and at the end of every cycle, ``iterations`` counts the
@@ -540,76 +554,95 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
     not count: the stress gradient is ``2 V (X - G)``, so it is 0 at a
     stationary point, whatever its scale.
     """
-    # V+ B(X) X = (V + E)^-1 B(X) X, where E_ij = 1 when i and j share a
-    # component of the weight graph: (V + E)^-1 = V+ + sum_c 1_c 1_c' / |c|^2
-    # and 1_c' B(X) = 0.  V + E is taken with its rows divided by its
-    # diagonal s, which is exactly the identity for all-ones weights, so
-    # their transform is B(X) X / n to the last bit
-    M = np.diag(W.sum(axis=1)) - W
-    label = _components(W)
-    M += label[:, None] == label
-    del label
-    s = M.diagonal().copy()
-    M /= s[:, None]
-    Minv = np.linalg.inv(M)
-    del M  # the fit holds M^-1 alone
-    # the distances, their scratch and B(X) reuse three n x n arrays: the
-    # distances of a point are dead once the Guttman transform of it is taken
-    buffers = (np.empty_like(W), np.empty_like(W))
-    ratio = np.empty_like(W)
-    X = X - X.mean(axis=0)
-    dist = _distances(X, buffers)
-    # W * targets; a fit whose update moves the targets uses it for its first
-    # step alone, so it is formed in the distances' scratch, free until then
-    WT = np.multiply(W, targets, out=None if update is None else buffers[1])
+    n = len(X)
+    if W is None:
+        Minv = None
+        WT = targets
+        # the squared residuals are summed against ones, which takes the
+        # order of the weighted sum, so unit weights score a point as
+        # W = 1 - I does to the last bit; np.dot(r, r) fuses each square into
+        # the sum and moves the last digit
+        w = np.ones(n * n)
+    else:
+        # V+ B(X) X = (V + E)^-1 B(X) X, where E_ij = 1 when i and j share a
+        # component of the weight graph: (V + E)^-1 = V+ + sum_c 1_c 1_c' / |c|^2
+        # and 1_c' B(X) = 0.  V + E is taken with its rows divided by its
+        # diagonal s
+        M = np.diag(W.sum(axis=1)) - W
+        label = _components(W)
+        M += label[:, None] == label
+        del label
+        s = M.diagonal().copy()
+        M /= s[:, None]
+        Minv = np.linalg.inv(M)
+        del M  # the fit holds M^-1 alone
+        WT = W * targets
+        w = W.ravel()
     # sum_w targets^2 over the full matrix counts every pair twice, which
     # cancels in the stress ratio
     norm0 = float(np.dot(WT.ravel(), targets.ravel()))
-    w = W.ravel()
+    # the distances, their scratch and B(X) reuse three n x n arrays: the
+    # distances of a point are dead once the Guttman transform of it is taken
+    buffers = (np.empty_like(WT), np.empty_like(WT))
+    X = X - X.mean(axis=0)
+    dist = _distances(X, buffers)
 
     def target_stress(dist) -> float:
-        r = targets - dist
+        # the residuals go in the distances' scratch, free once they are taken
+        r = np.subtract(targets, dist, out=buffers[1])
         r *= r
         return float(np.dot(w, r.ravel())) / norm0
 
-    if update is None:  # fixed targets
+    history = [target_stress(dist)]
+    if update is None:
+        # fixed targets: B(X) is formed in the distances' scratch, which is
+        # free from the stress of a point to the next point's distances
+        ratio = buffers[1]
 
-        def update(dist, WT=WT):
-            return WT, target_stress(dist)
+        def update(dist, out):
+            return target_stress(dist)
+    else:
+        # moving targets: B(X) is formed in place in the matrix of W * T,
+        # which the update rewrites; the first step's targets are dropped
+        ratio = WT
+        targets = w = None
 
     def score(X):
-        # the distances of X, the weighted targets that go with them, and the stress
+        # the distances of X and their stress; an update writes its W * T
         dist = _distances(X, buffers)
-        return (dist, *update(dist))
+        return dist, update(dist, ratio)
 
-    def guttman(X, dist, WT):
+    def guttman(X, dist):
         # B(X) X, with B(X)_ij = -W_ij T_ij / d_ij off the diagonal, 0 where d_ij = 0
         zero = dist == 0
+        coincident = np.count_nonzero(zero) > len(X)
+        if coincident:
+            # a coincident pair i < j with a positive target: its distance is
+            # minorized by x_i - x_j on the first axis instead, which pushes
+            # the pair apart and still cannot raise the stress.  Its W * T
+            # is read before the division, which may overwrite it
+            i, j = np.nonzero(np.triu(zero & (WT > 0), 1))
+            push = WT[i, j]
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(WT, dist, out=ratio)
         ratio[zero] = 0.0
         BX = ratio.sum(axis=1)[:, None] * X - ratio @ X
-        if np.count_nonzero(zero) > len(X):
-            # a coincident pair i < j with a positive target: its distance is
-            # minorized by x_i - x_j on the first axis instead, which pushes
-            # the pair apart and still cannot raise the stress
-            i, j = np.nonzero(np.triu(zero & (WT > 0), 1))
-            np.add.at(BX[:, 0], i, WT[i, j])
-            np.subtract.at(BX[:, 0], j, WT[i, j])
-        G = Minv @ (BX / s[:, None])
+        if coincident:
+            np.add.at(BX[:, 0], i, push)
+            np.subtract.at(BX[:, 0], j, push)
+        G = BX / n if Minv is None else Minv @ (BX / s[:, None])
         G -= G.mean(axis=0)
         return G
 
-    history = [target_stress(dist)]
     converged = False
     iterations = 0
     while not converged and iterations < max_iterations:
         start = history[-1]
-        Y = guttman(X, dist, WT)
+        Y = guttman(X, dist)
         iterations += 1
-        dist, WT, stress = score(Y)
+        dist, stress = score(Y)
         if iterations < max_iterations:
-            X1, X2 = Y, guttman(Y, dist, WT)
+            X1, X2 = Y, guttman(Y, dist)
             iterations += 1
             # a retry needs X, r and v alone: the distances of X are dead
             r = X1 - X
@@ -622,12 +655,12 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
                 if iterations == max_iterations:
                     # no transform left to stabilize: the cycle ends on X2
                     Y = X2
-                    dist, WT, stress = score(Y)
+                    dist, stress = score(Y)
                     break
                 P = X2 if alpha == -1.0 else X - 2.0 * alpha * r + alpha * alpha * v
-                Y = guttman(P, *score(P)[:2])
+                Y = guttman(P, score(P)[0])
                 iterations += 1
-                dist, WT, stress = score(Y)
+                dist, stress = score(Y)
                 if stress <= start or alpha == -1.0:
                     break
                 alpha = (alpha - 1.0) / 2.0 if alpha < -1.5 else -1.0
@@ -636,8 +669,28 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
             X, start = Y, stress
         history.append(start)
         converged = history[-2] - start < epsilon
-    G = guttman(X, *score(X)[:2])
+    G = guttman(X, score(X)[0])
     return X, history, iterations, converged, float(np.linalg.norm(X - G) / np.linalg.norm(G))
+
+
+def _normalized_targets(delta, mask, X) -> np.ndarray:
+    """The observed dissimilarities, 0 off the ``mask`` pairs, scaled so that
+    their sum of squares over the pairs is ``n (n - 1) / 2``: the targets
+    :func:`mds` hands to :func:`_smacof`.  The start ``X`` is dilated in
+    place to the scale that fits them best, so the first stress is
+    scale-free."""
+    n = len(delta)
+    dhat = np.where(mask, delta, 0.0)
+    dhat *= np.sqrt(n * (n - 1) / 2.0 / (float((dhat * dhat).sum()) / 2))
+    # the start's distances with weight 0 off the pairs
+    dist = _distances(X)
+    dist *= mask
+    sxy = float((dhat * dist).sum())
+    dist *= dist
+    sxx = float(dist.sum())
+    if sxx > 0 and sxy > 0:
+        X *= sxy / sxx
+    return dhat
 
 
 def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
@@ -663,17 +716,15 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
     mask = ~np.isnan(delta)
     np.fill_diagonal(mask, False)
     mask &= mask.T
-    finite = np.where(mask, delta, 0.0)
-    if not np.any(finite > 0):
+    if not np.any(mask & (delta > 0)):
         raise DegenerateInput("all off-diagonal dissimilarities are zero")
     unobserved = [work.labels[i] for i in np.flatnonzero(~mask.any(axis=1))]
     if unobserved:
         warnings.warn(f"points without any observed dissimilarity: {unobserved}",
                       stacklevel=2)
-    W = mask.astype(float)
-    npairs = n * (n - 1) / 2.0
-    dhat = finite * np.sqrt(npairs / (float((W * finite * finite).sum()) / 2))
-    del finite  # each n x n array lives only while it is used
+    # a complete matrix is fit with unit weights, which the core takes
+    # without a weight matrix; a missing pair gets weight 0
+    W = None if np.count_nonzero(mask) == n * (n - 1) else mask.astype(float)
 
     if cfg.init == "classical":
         # the filled dissimilarities are handed over, for classical_init to drop
@@ -682,33 +733,27 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
         rng = np.random.default_rng(cfg.seed)
         X = rng.standard_normal((n, k))
         X -= X.mean(axis=0)
-    dist = _distances(X)
-    # optimal dilation of the start so the first stress is scale-free
-    sxy = float((W * dhat * dist).sum())
-    sxx = float((W * dist * dist).sum())
-    if sxx > 0 and sxy > 0:
-        X = X * (sxy / sxx)
-    del dist
 
     update = None
     if cfg.level != "ratio":  # with the fixed normalization, ratio disparities never move
         fixed = _FitPairs(delta, mask, cfg.level)
-        T = None
+        npairs = n * (n - 1) / 2.0
 
-        def update(dist):
-            # normalize the disparities and take their stress on the pair vectors;
-            # the first call's zeroed matrix takes every later call's pairs
-            nonlocal T
-            T = transform_disparities(delta, dist, cfg.level, mask, fixed=fixed, out=T)
+        def update(dist, out):
+            # write the normalized disparities into the core's matrix, zero
+            # off the pairs, and take their stress on the pair vectors
+            transform_disparities(delta, dist, cfg.level, mask, fixed=fixed, out=out)
             xv, fitted = fixed.take_pairs()
             scale = np.sqrt(npairs / float(np.dot(fitted, fitted)))
-            T *= scale
+            out *= scale
             fitted *= scale
             r = fitted - xv
-            return T, float(np.dot(r, r)) / float(np.dot(fitted, fitted))
+            return float(np.dot(r, r)) / float(np.dot(fitted, fitted))
 
-    X, history, iterations, converged, residual = _smacof(W, dhat, X, cfg.epsilon,
-                                                          cfg.max_iterations, update)
+    # the targets are handed over, so a fit whose update moves them drops
+    # them after its first step
+    X, history, iterations, converged, residual = _smacof(
+        W, _normalized_targets(delta, mask, X), X, cfg.epsilon, cfg.max_iterations, update)
     if not converged:
         warnings.warn(f"SMACOF stopped at the cap of {iterations} iterations; the last "
                       f"stress change was {history[-2] - history[-1]:.3g}", stacklevel=2)

@@ -1,6 +1,7 @@
 """SMACOF scaling, isotonic regression, classical start, and alignment."""
 
 import functools
+import hashlib
 import importlib
 import re
 import warnings
@@ -521,20 +522,22 @@ def test_similarity_entry_point_fits_its_dissimilarity(n, level, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(2, 12), st.integers(1, 3), st.sampled_from([0.0, 0.3, 0.7, 1.0]),
-       st.booleans(), st.integers(0, 2**32 - 1))
-def test_smacof_core_stress_never_rises_under_random_weights(n, k, zeros, ones, seed):
-    # zeros: the share of pairs with weight 0; ones: all-ones weights instead
+       st.sampled_from(["random", "ones", "unit"]), st.integers(0, 2**32 - 1))
+def test_smacof_core_stress_never_rises_under_random_weights(n, k, zeros, weights, seed):
+    # zeros: the share of pairs with weight 0 of random weights; weights:
+    # random ones, all-ones weights given as 1 - I, or unit weights given as None
     rng = np.random.default_rng(seed)
-    if ones:
-        W = 1.0 - np.eye(n)
-    else:
+    if weights == "random":
         W = np.triu(rng.uniform(0.0, 5.0, (n, n)) * (rng.random((n, n)) >= zeros), 1)
         W = W + W.T
+    else:
+        W = 1.0 - np.eye(n)
     T = np.triu(rng.uniform(0.0, 10.0, (n, n)) * (rng.random((n, n)) >= 0.2), 1)
     T = T + T.T
     assume(float((W * T * T).sum()) > 0)
     X = rng.standard_normal((n, k))
-    _, history, iterations, converged, _ = _smacof(W, T, X, 1e-12, 300)
+    _, history, iterations, converged, _ = _smacof(None if weights == "unit" else W, T, X,
+                                                   1e-12, 300)
     h = np.array(history)
     # one entry per cycle: three transforms or more, bar a last one cut by the cap
     assert 2 <= len(h) <= 1 + -(-iterations // 3)
@@ -633,14 +636,17 @@ def reference_map(W, targets, update=None, *, unit_weights=False):
     transform ``G = V+ B(X) X`` from the distances and weighted targets of
     ``X``, and ``score(X, T)`` gives ``(dist, W * T, stress)`` for targets
     ``T``, the update's when ``T`` is None.  ``V+`` is ``np.linalg.pinv``
-    of the weighted Laplacian.  ``unit_weights`` is the core's former
-    all-ones special case: with ``W = 1 - I`` it took ``G = B(X) X / n``
-    instead of ``V+ B(X) X``; ``V+`` acts as ``1/n`` on centered
-    configurations, and the core's row-scaled inverse of ``V + E`` gives
-    ``B(X) X / n`` to the last bit.  No input here has a coincident pair,
-    which the core pushes apart along the first axis.
+    of the weighted Laplacian.  ``W`` None means unit weights, ``1 - I``,
+    as in the core.  ``unit_weights`` takes the core's unit-weight
+    transform: with ``W = 1 - I`` it is ``G = B(X) X / n`` instead of
+    ``V+ B(X) X``, since ``V+`` acts as ``1/n`` on centered configurations.
+    An update is called as the core calls it, ``update(dist, out)``, and
+    writes ``W * T`` into a zeroed ``out``.  No input here has a coincident
+    pair, which the core pushes apart along the first axis.
     """
-    n = len(W)
+    n = len(targets)
+    if W is None:
+        W = 1.0 - np.eye(n)
     if unit_weights:
         assert np.array_equal(W, 1.0 - np.eye(n))
     else:
@@ -657,11 +663,14 @@ def reference_map(W, targets, update=None, *, unit_weights=False):
 
     def score(X, T=None):
         dist = _distances(X)
-        # update returns W * T and its stress; mds() gives weights 0 or 1 and
-        # targets 0 wherever the weight is, so W * T is T, whose stress is
-        # recomputed here over the full matrix
+        # the update writes W * T; mds() gives weights 0 or 1 and targets 0
+        # wherever the weight is, so W * T is T, whose stress is recomputed
+        # here over the full matrix
         if T is None:
-            T = targets if update is None else update(dist)[0]
+            T = targets
+            if update is not None:
+                T = np.zeros_like(dist)
+                update(dist, T)
         WT = W * T
         r = T - dist
         stress = float(np.dot(w, (r * r).ravel())) / float(np.dot(WT.ravel(), T.ravel()))
@@ -761,6 +770,8 @@ def relaxed_smacof(W, targets, X, epsilon, max_iterations, relaxation):
 def test_unit_weights_match_the_former_one_over_n_update(monkeypatch, level, seed, k):
     cfg = MdsConfig(dimensions=k, level=level, init="classical" if seed is None else "random",
                     seed=seed)
+    # the cities are complete, so mds() passes the core no weights, and the
+    # reference takes B(X) X / n for W = 1 - I
     cities = builtin_dataset("cities")
     fit = mds(cities, cfg)
     # the package exports a function named mds, so reach the module itself
@@ -773,6 +784,86 @@ def test_unit_weights_match_the_former_one_over_n_update(monkeypatch, level, see
     assert np.abs(fit.coords - reference.coords).max() <= 1e-12 * scale
     assert fit.stress == pytest.approx(reference.stress, rel=1e-11)
     assert fit.residual == pytest.approx(reference.residual, rel=1e-9, abs=1e-12)
+
+
+def weighted_smacof(W, targets, *args):
+    """The SMACOF core given ``W = 1 - I`` where it is given no weights: the
+    weighted path, with its inverse of ``V + E``, for a complete matrix."""
+    return _smacof(1.0 - np.eye(len(targets)) if W is None else W, targets, *args)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 30), st.integers(1, 3), st.sampled_from(["ratio", "interval", "ordinal"]),
+       st.sampled_from(["classical", "random"]), st.booleans(), st.integers(0, 2**32 - 1))
+def test_unit_weights_fit_as_explicit_weights_do(n, k, level, init, ties, seed):
+    # a complete matrix, with tied dissimilarities (halves) or without
+    assume(k < n)
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.5, 3.0, (n, n))
+    if ties:
+        d = np.round(2 * d) / 2
+    d = np.triu(d, 1)
+    P = ProximityMatrix(tuple(f"p{i}" for i in range(n)), d + d.T, kind="dissimilarity")
+    cfg = MdsConfig(dimensions=k, level=level, init=init, seed=seed)
+    unit = mds(P, cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(importlib.import_module("cocmap.mds"), "_smacof", weighted_smacof)
+        weighted = mds(P, cfg)
+    assert unit.coords.tobytes() == weighted.coords.tobytes()
+    assert (unit.iterations_used, unit.converged) == (weighted.iterations_used,
+                                                      weighted.converged)
+    # the unit-weight stress sums the same products in the same order
+    assert unit.stress_history == weighted.stress_history
+    assert unit.residual == weighted.residual
+
+
+@pytest.mark.parametrize("level", ["ratio", "interval", "ordinal"])
+@pytest.mark.parametrize("init", ["classical", "random"])
+def test_a_complete_matrix_is_fit_without_weights_or_an_inverse(monkeypatch, level, init):
+    module = importlib.import_module("cocmap.mds")
+    given_weights = []
+
+    def spy(W, *args):
+        given_weights.append(W)
+        return _smacof(W, *args)
+
+    class Formed(Exception):
+        pass
+
+    def refuse(*args):
+        raise Formed
+
+    monkeypatch.setattr(module, "_smacof", spy)
+    monkeypatch.setattr(module, "_components", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    cfg = MdsConfig(level=level, init=init, seed=4)
+    mds(random_dissimilarity(np.random.default_rng(9), 20), cfg)
+    assert given_weights == [None]
+    # a missing pair takes the weighted path, which inverts V + E
+    with pytest.raises(Formed):
+        mds(gappy_cities(), cfg)
+    assert given_weights[1].shape == (10, 10)
+
+
+# the weighted core's fits of the cities with the Chicago-New York pair
+# unobserved, before complete matrices took their own path: the transforms,
+# the stress and residual, and the start of the SHA-256 of the coordinates
+@pytest.mark.parametrize("level, init, transforms, stress, residual, digest", [
+    ("ratio", "classical", 9, 2.955799696493325e-06, 0.00010536345003593385,
+     "7477933b1f48a984"),
+    ("ordinal", "random", 39, 0.0027578423017478263, 6.757655853266656e-05,
+     "1fbfa85d7a44ba62"),
+])
+def test_one_missing_pair_keeps_the_weighted_fit(level, init, transforms, stress, residual,
+                                                 digest):
+    cities = builtin_dataset("cities")
+    d = np.array(cities.data, dtype=float)
+    d[1, 6] = d[6, 1] = np.nan
+    fit = mds(ProximityMatrix(cities.labels, d, kind="dissimilarity"),
+              MdsConfig(dimensions=2, level=level, init=init, seed=3))
+    assert (fit.iterations_used, fit.converged) == (transforms, True)
+    assert (fit.stress, fit.residual) == (stress, residual)
+    assert hashlib.sha256(fit.coords.tobytes()).hexdigest()[:16] == digest
 
 
 def gappy_cities():
@@ -797,9 +888,9 @@ def mds_reference_residual(P, level, coords):
     finite = np.where(mask, delta, 0.0)
     targets = finite * np.sqrt(n * (n - 1) / (W * finite * finite).sum())
 
-    def update(dist):
+    def update(dist, out):
         T = transform_disparities(delta, dist, level, mask)
-        return T * np.sqrt(n * (n - 1) / (T * T).sum()), None
+        out[...] = T * np.sqrt(n * (n - 1) / (T * T).sum())
 
     step, score = reference_map(W, targets, None if level == "ratio" else update)
     return reference_residual(step, score, np.asarray(coords))
@@ -985,35 +1076,46 @@ def test_bad_setting_is_refused(case):
     assert str(err.value) == message
 
 
-def _traced_fit_peak(traced_peak, level, init):
-    """Traced peak of a 3-transform fit of 300 points, in n x n float64 arrays."""
+def _traced_fit_peak(traced_peak, level, init, max_iterations=3):
+    """Traced peak of a fit of 300 points, in n x n float64 arrays; it stops
+    after 3 transforms unless ``max_iterations`` says otherwise."""
     n = 300
     rng = np.random.default_rng(26)
     d = _distances(rng.standard_normal((n, 3)))
     P = ProximityMatrix(tuple(f"p{i}" for i in range(n)), d, kind="dissimilarity")
-    cfg = MdsConfig(dimensions=2, level=level, init=init, seed=1, max_iterations=3)
+    cfg = MdsConfig(dimensions=2, level=level, init=init, seed=1, max_iterations=max_iterations)
 
     def fit():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # stopped at the cap
             return mds(P, cfg)
 
-    return traced_peak(fit)[1] / d.nbytes
+    fit, peak = traced_peak(fit)
+    return fit, peak / d.nbytes
 
 
-@pytest.mark.parametrize("level, bound", [("ordinal", 11.2), ("ratio", 8.5)])
-def test_fit_holds_each_square_array_only_while_it_uses_it(level, bound, traced_peak):
-    # traced peak, random start: 10.7 (ordinal) and 8.2 (ratio).  An ordinal
-    # fit that zero-filled a fresh disparity matrix on every call, holding
-    # the last call's meanwhile, and kept W * targets to its end peaked at
-    # 11.7; one that also copied the frozen dissimilarities and kept the
-    # start's distances, the masked copy and V's eigenvectors, at 16.7
-    # (ratio: 13.2)
-    assert _traced_fit_peak(traced_peak, level, "random") < bound
+# traced peaks, random start: 7.7 (ordinal, 3 transforms), 8.06 (ordinal,
+# converged after 60) and 4.37 (ratio).  The weighted core on the complete
+# matrix, holding W, the inverse of V + E and W * targets, peaked at 10.7,
+# 12.06 and 8.2, and with the disparities kept apart from B(X) and the
+# targets kept to the end, 8.7, 10.06 and 5.2.  A fit that zero-filled a
+# fresh disparity matrix on every call peaked at 11.7 (ordinal, 3
+# transforms); one that also copied the frozen dissimilarities and kept the
+# start's distances, the masked copy and V's eigenvectors, at 16.7 (ratio:
+# 13.2)
+@pytest.mark.parametrize("level, max_iterations, bound", [
+    pytest.param("ordinal", 3, 8.2, id="ordinal"),
+    pytest.param("ordinal", 1000, 8.5, id="ordinal-converged"),
+    pytest.param("ratio", 3, 4.8, id="ratio")])
+def test_fit_holds_each_square_array_only_while_it_uses_it(level, max_iterations, bound,
+                                                           traced_peak):
+    fit, peak = _traced_fit_peak(traced_peak, level, "random", max_iterations)
+    assert fit.converged == (max_iterations > 3)
+    assert peak < bound
 
 
 def test_classical_start_holds_no_more_square_arrays_than_the_fit(traced_peak):
-    # traced peak 8.2, that of the fit from a random start: a classical start
-    # that kept the filled dissimilarities, their squares, J and J D^2 J
-    # while the eigensolver copied its argument peaked at 10.1
-    assert _traced_fit_peak(traced_peak, "ratio", "classical") < 8.7
+    # traced peak 5.14, the classical start's own: the eigensolver's copies of
+    # J D^2 J.  Before it dropped the filled dissimilarities, their squares
+    # and J, it peaked at 10.1, above the 8.2 of the weighted core's fit
+    assert _traced_fit_peak(traced_peak, "ratio", "classical")[1] < 5.6
