@@ -177,7 +177,7 @@ def _round_robin(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _varimax_sweeps(L: np.ndarray, tol: float, max_sweeps: int):
-    """Planar varimax rotations in round-robin sweeps; returns (rotated, T, criterion path).
+    """Planar varimax rotations in round-robin sweeps; returns (rotated, criterion path).
 
     Each round rotates a set of disjoint column pairs at once (the
     parallel-Jacobi ordering of Brent & Luk, 1985).  Disjoint rotations touch
@@ -185,25 +185,25 @@ def _varimax_sweeps(L: np.ndarray, tol: float, max_sweeps: int):
     gets Kaiser's (1958) criterion-maximizing angle ``phi = atan2(num, den) / 4``
     independently.  With ``z = x + iy`` for the pair's columns and
     ``w = z**2``, ``den + i*num = sum(w**2) - sum(w)**2 / p``, and the rotation
-    is ``z * exp(-i*phi)``.  ``T`` is stacked under the loadings so both turn
-    together; the criterion is recorded once per sweep.  The sweeps stop once
-    one raises the criterion by less than ``tol``, or after ``max_sweeps``.
+    is ``z * exp(-i*phi)``, applied to the loadings alone; the criterion is
+    recorded once per sweep.  The sweeps stop once one raises the criterion
+    by less than ``tol``, or after ``max_sweeps``.
     """
     p, m = L.shape
-    S = np.vstack([L, np.eye(m)])
+    S = L.copy()
     rounds = _round_robin(m)
     history = [_varimax_criterion(L)]
     for _ in range(max_sweeps):
         for a, b in rounds:
             z = S[:, a] + 1j * S[:, b]
-            w = z[:p] ** 2
+            w = z**2
             q = (w * w).sum(axis=0) - w.sum(axis=0) ** 2 / p
             z *= np.exp(-0.25j * np.angle(q))
             S[:, a], S[:, b] = z.real, z.imag
-        history.append(_varimax_criterion(S[:p]))
+        history.append(_varimax_criterion(S))
         if history[-1] - history[-2] < tol:
             break
-    return S[:p].copy(), S[p:].copy(), history
+    return S, history
 
 
 def varimax(L: LoadingsMatrix, kaiser_normalize: bool = True) -> LoadingsMatrix:
@@ -235,7 +235,7 @@ def varimax(L: LoadingsMatrix, kaiser_normalize: bool = True) -> LoadingsMatrix:
         return LoadingsMatrix(L.variable_labels, L.loadings, L.eigenvalues,
                               L.explained_variance_pct, rotation="varimax",
                               rotation_criterion=_varimax_criterion(A))
-    rotated, _T, history = _varimax_sweeps(A, VARIMAX_TOLERANCE, VARIMAX_MAX_SWEEPS)
+    rotated, history = _varimax_sweeps(A, VARIMAX_TOLERANCE, VARIMAX_MAX_SWEEPS)
     change = history[-1] - history[-2]
     converged = change < VARIMAX_TOLERANCE
     if not converged:

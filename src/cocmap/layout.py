@@ -33,7 +33,7 @@ import numpy as np
 
 from .ingest import _number_cells
 from .matrices import CooccurrenceMatrix, _as_labels, _freeze
-from .mds import MdsConfig, _components, _smacof, classical_init
+from .mds import MdsConfig, _smacof, classical_init
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,8 @@ def kamada_kawai(G: WeightedGraph) -> LayoutResult:
     if n < 2:
         raise ValueError("layout needs at least two nodes")
     hops = shortest_path_lengths(G)
-    # components by smallest member, members ascending
-    label = _components(np.isfinite(hops))
+    # a vertex's component, named by its smallest member: its hop row's first finite entry
+    label = np.isfinite(hops).argmax(axis=1)
     comps = [np.flatnonzero(label == c) for c in np.unique(label)]
     positions = np.zeros((n, 2))
     total_energy = 0.0

@@ -52,8 +52,8 @@ is a weighted SMACOF core that the Kamada-Kawai layout of
 unit weights, whose transform is ``G = B(X) X / n``: no weight matrix, no
 inverse of ``V``.  A matrix with a missing pair is fit with weights 0 and 1
 through the general ``G = V+ B(X) X``.  Interval and ordinal disparities are
-written into the matrix in which ``B(X)`` is then formed, so a fit holds no
-separate disparity matrix.
+written over the first step's targets, so a fit holds no separate disparity
+matrix; ``B(X)`` is formed in the distances' scratch.
 """
 
 from __future__ import annotations
@@ -497,8 +497,8 @@ def transform_disparities(delta, dist, level: str, mask, *, fixed=None, out=None
 
 
 def _components(W) -> np.ndarray:
-    """The component of each point in the graph of the positive (or true)
-    entries of ``W``, named by its first point."""
+    """The component of each point in the graph of the positive entries of
+    ``W``, named by its first point."""
     n = len(W)
     adj = W > 0
     label = np.full(n, -1)
@@ -532,12 +532,14 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
     ``dist``.  ``out`` is zero at every other cell; it is the matrix that
     held ``W * targets`` for the first step, which for unit weights is
     ``targets`` itself: a fit with an update overwrites it, so its caller
-    hands it over.  ``F`` cannot raise the stress (de Leeuw 1988) but
-    converges only linearly, so the fit runs SQUAREM cycles on it (Varadhan
-    & Roland 2008, steplength SqS3).  A cycle takes two plain steps
-    ``X1 = F(X)`` and ``X2 = F(X1)``, moves to ``X - 2 a r + a^2 v`` with
-    ``r = X1 - X``, ``v = X2 - 2 X1 + X`` and ``a = min(-|r| / |v|, -1)``,
-    and ends on one stabilizing step ``F`` from there.  Where that end has a
+    hands it over.  ``B(X)`` is formed apart from it, in the distances'
+    scratch, so ``W * targets`` holds from one update to the next.  ``F``
+    cannot raise the stress (de Leeuw 1988) but converges only linearly, so
+    the fit runs SQUAREM cycles on it (Varadhan & Roland 2008, steplength
+    SqS3).  A cycle takes two plain steps ``X1 = F(X)`` and ``X2 = F(X1)``,
+    moves to ``X - 2 a r + a^2 v`` with ``r = X1 - X``,
+    ``v = X2 - 2 X1 + X`` and ``a = min(-|r| / |v|, -1)``, and ends on one
+    stabilizing step ``F`` from there.  Where that end has a
     higher stress than ``X``, the cycle takes one more transform from a
     steplength halfway to -1 (-1 itself from above -1.5); at ``a = -1`` the
     point is ``X2`` and the cycle three plain steps, which cannot raise the
@@ -581,9 +583,10 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
     # sum_w targets^2 over the full matrix counts every pair twice, which
     # cancels in the stress ratio
     norm0 = float(np.dot(WT.ravel(), targets.ravel()))
-    # the distances, their scratch and B(X) reuse three n x n arrays: the
-    # distances of a point are dead once the Guttman transform of it is taken
+    # the distances and their scratch reuse two n x n arrays; B(X) is formed in
+    # the scratch, free from the stress of a point to the next point's distances
     buffers = (np.empty_like(WT), np.empty_like(WT))
+    ratio = buffers[1]
     X = X - X.mean(axis=0)
     dist = _distances(X, buffers)
 
@@ -595,39 +598,32 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
 
     history = [target_stress(dist)]
     if update is None:
-        # fixed targets: B(X) is formed in the distances' scratch, which is
-        # free from the stress of a point to the next point's distances
-        ratio = buffers[1]
-
+        # fixed targets: a point is scored by its stress alone
         def update(dist, out):
             return target_stress(dist)
     else:
-        # moving targets: B(X) is formed in place in the matrix of W * T,
-        # which the update rewrites; the first step's targets are dropped
-        ratio = WT
+        # moving targets: the update rewrites W * T; the first step's
+        # targets are dropped
         targets = w = None
 
     def score(X):
         # the distances of X and their stress; an update writes its W * T
         dist = _distances(X, buffers)
-        return dist, update(dist, ratio)
+        return dist, update(dist, WT)
 
     def guttman(X, dist):
         # B(X) X, with B(X)_ij = -W_ij T_ij / d_ij off the diagonal, 0 where d_ij = 0
         zero = dist == 0
-        coincident = np.count_nonzero(zero) > len(X)
-        if coincident:
-            # a coincident pair i < j with a positive target: its distance is
-            # minorized by x_i - x_j on the first axis instead, which pushes
-            # the pair apart and still cannot raise the stress.  Its W * T
-            # is read before the division, which may overwrite it
-            i, j = np.nonzero(np.triu(zero & (WT > 0), 1))
-            push = WT[i, j]
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(WT, dist, out=ratio)
         ratio[zero] = 0.0
         BX = ratio.sum(axis=1)[:, None] * X - ratio @ X
-        if coincident:
+        if np.count_nonzero(zero) > len(X):
+            # a coincident pair i < j with a positive target: its distance is
+            # minorized by x_i - x_j on the first axis instead, which pushes
+            # the pair apart and still cannot raise the stress
+            i, j = np.nonzero(np.triu(zero & (WT > 0), 1))
+            push = WT[i, j]
             np.add.at(BX[:, 0], i, push)
             np.subtract.at(BX[:, 0], j, push)
         G = BX / n if Minv is None else Minv @ (BX / s[:, None])

@@ -228,10 +228,12 @@ def test_criterion_07_factor_structural_suite():
         ).max())
         if comm_gap >= 1e-9:
             ok = False
-        _, T, history = _varimax_sweeps(np.asarray(L.loadings), 1e-6, 100)
+        A = np.asarray(L.loadings)
+        rotated, history = _varimax_sweeps(A, 1e-6, 100)
         if np.diff(history).min(initial=0.0) < -1e-12:
             ok = False
-        if float(np.abs(T.T @ T - np.eye(T.shape[0])).max()) >= 1e-9:
+        # rotated rotated' = A A' holds exactly when rotated = A Q, Q orthogonal
+        if float(np.abs(rotated @ rotated.T - A @ A.T).max()) >= 1e-9:
             ok = False
     # the 45-degree mixed structure must rotate to simple structure
     h = np.sqrt(0.5)

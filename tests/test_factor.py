@@ -300,18 +300,20 @@ class TestVarimax:
         for _ in range(10):
             R = random_correlation(rng, 10)
             L = pca_from_correlation(R, n_factors=4)
-            _, T, history = _varimax_sweeps(np.asarray(L.loadings), 1e-6, 100)
+            A = np.asarray(L.loadings)
+            rotated, history = _varimax_sweeps(A, 1e-6, 100)
             diffs = np.diff(history)
             assert np.all(diffs >= -1e-12)
-            assert np.abs(T.T @ T - np.eye(4)).max() < 1e-9
+            assert np.abs(rotated @ rotated.T - A @ A.T).max() < 1e-9
 
-    def test_rotation_matrix_reproduces_loadings(self):
+    def test_rotated_loadings_are_an_orthogonal_rotation(self):
+        # rotated rotated' = A A' holds exactly when rotated = A Q, Q orthogonal
         rng = np.random.default_rng(9)
         R = random_correlation(rng, 8)
         L = pca_from_correlation(R, n_factors=3)
         A = np.asarray(L.loadings)
-        rotated, T, _ = _varimax_sweeps(A, 1e-6, 100)
-        np.testing.assert_allclose(rotated, A @ T, atol=1e-9)
+        rotated, _ = _varimax_sweeps(A, 1e-6, 100)
+        np.testing.assert_allclose(rotated @ rotated.T, A @ A.T, atol=1e-9)
 
     def test_one_factor_is_returned_unrotated(self):
         L = LoadingsMatrix(("a", "b"), [[0.9], [0.8]], (1.45,), (72.5,))
@@ -344,7 +346,7 @@ class TestVarimax:
         # rotation maximizes it for the row-normalized loadings
         assert V.rotation_criterion == pytest.approx(
             _varimax_criterion(np.asarray(V.loadings) / comm), rel=1e-12)
-        _, _, history = _varimax_sweeps(A / comm, 1e-6, 100)
+        _, history = _varimax_sweeps(A / comm, 1e-6, 100)
         assert V.rotation_criterion_change == pytest.approx(history[-1] - history[-2],
                                                             rel=1e-9, abs=1e-15)
         assert 0.0 <= V.rotation_criterion_change < 1e-6
@@ -431,10 +433,9 @@ class TestRoundRobinSchedule:
 def test_round_robin_sweeps_keep_the_rotation_contract(m, extra_rows, seed):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((m + extra_rows, m))
-    rotated, T, history = _varimax_sweeps(A, 1e-6, 500)
+    rotated, history = _varimax_sweeps(A, 1e-6, 500)
     assert np.all(np.diff(history) >= -1e-12)
-    np.testing.assert_allclose(T.T @ T, np.eye(m), atol=1e-9)
-    np.testing.assert_allclose(rotated, A @ T, atol=1e-9)
+    np.testing.assert_allclose(rotated @ rotated.T, A @ A.T, atol=1e-9)
     np.testing.assert_allclose((rotated**2).sum(axis=1), (A**2).sum(axis=1), atol=1e-9)
 
 
@@ -445,7 +446,7 @@ class TestAgainstSerialSweeps:
         L = pca_from_correlation(factor_correlation(rng, p, m), n_factors=m)
         A = np.asarray(L.loadings)
         comm = np.sqrt((A**2).sum(axis=1))
-        _, _, history = _varimax_sweeps(A / comm[:, None], 1e-6, 100)
+        _, history = _varimax_sweeps(A / comm[:, None], 1e-6, 100)
         serial, _, serial_history = serial_varimax_sweeps(A / comm[:, None], 1e-6, 100)
         assert history[-1] == pytest.approx(serial_history[-1], rel=1e-6)
         V = np.asarray(varimax(L).loadings)

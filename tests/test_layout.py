@@ -447,14 +447,16 @@ class TestSinglePathSearch:
         assert len(calls) == 1
 
     def test_components_in_smallest_member_order(self):
-        # the layout names each component by its smallest member and lists
-        # the members in ascending order
-        from cocmap.mds import _components
-
+        # the layout names each component by its smallest member and packs
+        # the components in that order, two to a row with one hop of padding:
+        # [0, 3, 5] at the origin, [1, 4] to its right, [2] on the second row
         G = WeightedGraph(tuple("abcdef"), ((1, 4, 1.0), (0, 5, 1.0), (5, 3, 1.0)))
-        label = _components(np.isfinite(shortest_path_lengths(G)))
-        assert [np.flatnonzero(label == c).tolist() for c in np.unique(label)] == \
-            [[0, 3, 5], [1, 4], [2]]
+        pos = np.asarray(kamada_kawai(G).positions)
+        first, second, third = pos[[0, 3, 5]], pos[[1, 4]], pos[2]
+        np.testing.assert_array_equal(first.min(axis=0), [0.0, 0.0])
+        assert second.min(axis=0) == pytest.approx([first[:, 0].max() + 1.0, 0.0], abs=1e-12)
+        height = max(np.ptp(first[:, 1]), np.ptp(second[:, 1]))
+        assert third == pytest.approx([0.0, height + 1.0], abs=1e-12)
 
 
 class TestPajekQuotes:

@@ -1076,12 +1076,15 @@ def test_bad_setting_is_refused(case):
     assert str(err.value) == message
 
 
-def _traced_fit_peak(traced_peak, level, init, max_iterations=3):
+def _traced_fit_peak(traced_peak, level, init, max_iterations=3, missing=False):
     """Traced peak of a fit of 300 points, in n x n float64 arrays; it stops
-    after 3 transforms unless ``max_iterations`` says otherwise."""
+    after 3 transforms unless ``max_iterations`` says otherwise.  With
+    ``missing`` the pair (3, 7) is unobserved, so the weighted core fits it."""
     n = 300
     rng = np.random.default_rng(26)
     d = _distances(rng.standard_normal((n, 3)))
+    if missing:
+        d[3, 7] = d[7, 3] = np.nan
     P = ProximityMatrix(tuple(f"p{i}" for i in range(n)), d, kind="dissimilarity")
     cfg = MdsConfig(dimensions=2, level=level, init=init, seed=1, max_iterations=max_iterations)
 
@@ -1102,14 +1105,19 @@ def _traced_fit_peak(traced_peak, level, init, max_iterations=3):
 # fresh disparity matrix on every call peaked at 11.7 (ordinal, 3
 # transforms); one that also copied the frozen dissimilarities and kept the
 # start's distances, the masked copy and V's eigenvectors, at 16.7 (ratio:
-# 13.2)
-@pytest.mark.parametrize("level, max_iterations, bound", [
-    pytest.param("ordinal", 3, 8.2, id="ordinal"),
-    pytest.param("ordinal", 1000, 8.5, id="ordinal-converged"),
-    pytest.param("ratio", 3, 4.8, id="ratio")])
-def test_fit_holds_each_square_array_only_while_it_uses_it(level, max_iterations, bound,
-                                                           traced_peak):
-    fit, peak = _traced_fit_peak(traced_peak, level, "random", max_iterations)
+# 13.2).  With the pair (3, 7) missing, the weighted core peaks at 9.71,
+# 10.15 (converged after 66) and 6.38: about two more, for W and the
+# inverse of V + E
+@pytest.mark.parametrize("level, max_iterations, missing, bound", [
+    pytest.param("ordinal", 3, False, 8.2, id="ordinal"),
+    pytest.param("ordinal", 1000, False, 8.5, id="ordinal-converged"),
+    pytest.param("ratio", 3, False, 4.8, id="ratio"),
+    pytest.param("ordinal", 3, True, 10.2, id="weighted-ordinal"),
+    pytest.param("ordinal", 1000, True, 10.6, id="weighted-ordinal-converged"),
+    pytest.param("ratio", 3, True, 6.8, id="weighted-ratio")])
+def test_fit_holds_each_square_array_only_while_it_uses_it(level, max_iterations, missing,
+                                                           bound, traced_peak):
+    fit, peak = _traced_fit_peak(traced_peak, level, "random", max_iterations, missing)
     assert fit.converged == (max_iterations > 3)
     assert peak < bound
 

@@ -16,7 +16,9 @@ as counts by ``layout``, and a rectangular one), a layout of small graphs with t
 two-vertex component, an ordinal fit over heavily tied proximities,
 pipelines whose reports record every scaling and factor setting, and the
 four benchmark workloads on the inputs ``perfbench/workloads.generate``
-writes at a fixed seed; ``perfbench/`` is only read.
+writes at a fixed seed, and a ``factor`` call on the ``records-factor``
+generator at 12000 documents x 300 attributes over 8 topics, where varimax
+runs 82 sweeps over 106 factors; ``perfbench/`` is only read.
 
 A call's files are its output directory plus its exit code, stdout and
 stderr.  Before comparison the ``timestamp`` line is dropped from every
@@ -120,6 +122,8 @@ def calls(directory: Path) -> list[tuple[str, list[str]]]:
     import workloads
 
     gens = {name: workloads.generate(name, SEED, directory / name) for name in WORKLOADS}
+    large_factor = workloads.generate("records-factor", SEED, directory / "factor-large",
+                                      {"docs": 12000, "attrs": 300, "topics": 8})
     records = str(gens["records-mds"].path)
     gappy = directory / "gappy.csv"
     gappy.write_text(GAPPY_CITIES, encoding="utf-8")
@@ -174,6 +178,8 @@ def calls(directory: Path) -> list[tuple[str, list[str]]]:
                                    "--init", "random", "--seed", "3", "--epsilon", "1e-4"]),
         ("pipeline-factor-settings", ["pipeline", "--in", records, "--steps", "factor",
                                       "--factors", "3", "--rotate", "none"]),
+        # the longest varimax: 82 sweeps of 106 factors over 300 attributes
+        ("factor-large", ["factor", "--in", str(large_factor.path)]),
         ("error-random-without-seed", ["mds", "--builtin", "cities", "--init", "random"]),
         ("error-missing-input", ["factor", "--in", str(directory / "no-such-file.txt")]),
         ("error-wrong-builtin", ["layout", "--builtin", "cities"]),
