@@ -70,50 +70,6 @@ def _coords_csv(labels, coords) -> str:
                                 labels, coords.tolist())
 
 
-def _load_occurrence(args) -> tuple[OccurrenceMatrix, str]:
-    if args.builtin:
-        data = ingest.builtin_dataset(args.builtin)
-        if not isinstance(data, OccurrenceMatrix):
-            raise CocmapError(f"builtin {args.builtin!r} is not an occurrence matrix")
-        return data, _hash_text(args.builtin)
-    text = Path(args.input).read_text(encoding="utf-8")
-    if args.format == "records":
-        return ingest.parse_records(text), _hash_text(text)
-    return ingest.parse_rectangular_matrix(text), _hash_text(text)
-
-
-def _load_proximity(args) -> tuple[ProximityMatrix, str]:
-    # --kind declares how to read the matrix; omitted, a file is read as a
-    # dissimilarity and a builtin keeps its natural kind (counts: similarity)
-    declared = {"sim": "similarity", "dissim": "dissimilarity", None: None}[args.kind]
-    if args.builtin:
-        data = ingest.builtin_dataset(args.builtin)
-        if isinstance(data, CooccurrenceMatrix):
-            data = ProximityMatrix(data.labels, np.asarray(data.data, dtype=float),
-                                   kind=declared or "similarity")
-        if not isinstance(data, ProximityMatrix):
-            raise CocmapError(f"builtin {args.builtin!r} is not a proximity matrix")
-        if declared and declared != data.kind:
-            data = ProximityMatrix(data.labels, data.data, kind=declared)
-        return data, _hash_text(args.builtin)
-    text = Path(args.input).read_text(encoding="utf-8")
-    return (
-        ingest.parse_square_matrix(text, declared or "dissimilarity"),
-        _hash_text(text),
-    )
-
-
-def _load_cooccurrence(args) -> tuple[CooccurrenceMatrix, str]:
-    if args.builtin:
-        data = ingest.builtin_dataset(args.builtin)
-        if not isinstance(data, CooccurrenceMatrix):
-            raise CocmapError(f"builtin {args.builtin!r} is not a co-occurrence matrix")
-        return data, _hash_text(args.builtin)
-    text = Path(args.input).read_text(encoding="utf-8")
-    data = ingest.parse_square_matrix(text, "counts")
-    return data, _hash_text(text)
-
-
 def _mds_config(args) -> MdsConfig:
     return MdsConfig(
         dimensions=args.dims,
@@ -186,7 +142,7 @@ def _write_layout(value, out_dir: Path, stem: str):
 # ---------------------------------------------------------------------------
 
 class Stage(NamedTuple):
-    needs: str  # input kind; for the first stage of a run it picks the loader
+    needs: str  # input kind; for the first stage of a run, what is loaded
     makes: str  # output kind
     compute: Callable  # (value, settings) -> value
     write: Callable  # (value, out_dir, stem) -> (output paths, results)
@@ -227,11 +183,47 @@ STAGES = {
 # `build --derive occurrence` writes the loaded matrix unchanged (not a pipeline step)
 _UNCHANGED = Stage("occurrence", "occurrence", lambda A, s: A, _write_rectangular)
 
-LOADERS = {
-    "occurrence": _load_occurrence,
-    "proximity": _load_proximity,
-    "cooccurrence": _load_cooccurrence,
+# --kind declares how to read a proximity matrix; omitted, a file is read as a
+# dissimilarity and a builtin keeps its natural kind (counts: similarity)
+_DECLARED = {"sim": "similarity", "dissim": "dissimilarity", None: None}
+
+
+class Input(NamedTuple):
+    type: type  # what an input of the kind is
+    name: str  # how an error names the kind
+    read: Callable  # (file text, args) -> value
+
+
+# the input kinds a run can start from, keyed as a stage's ``needs``; each
+# reader is looked up in ingest when it runs
+INPUTS = {
+    "occurrence": Input(OccurrenceMatrix, "an occurrence matrix",
+                        lambda text, a: ingest.parse_records(text) if a.format == "records"
+                        else ingest.parse_rectangular_matrix(text)),
+    "proximity": Input(ProximityMatrix, "a proximity matrix",
+                       lambda text, a: ingest.parse_square_matrix(
+                           text, _DECLARED[a.kind] or "dissimilarity")),
+    "cooccurrence": Input(CooccurrenceMatrix, "a co-occurrence matrix",
+                          lambda text, a: ingest.parse_square_matrix(text, "counts")),
 }
+
+
+def _load(args, kind: str):
+    """A run's input of ``kind`` and its digest: the file read as that kind,
+    hashed by its text, or the bundled dataset, hashed by its name."""
+    form = INPUTS[kind]
+    if not args.builtin:
+        text = Path(args.input).read_text(encoding="utf-8")
+        return form.read(text, args), _hash_text(text)
+    data = ingest.builtin_dataset(args.builtin)
+    if kind == "proximity" and isinstance(data, CooccurrenceMatrix):
+        data = ProximityMatrix(data.labels, data.data, kind="similarity")
+    if not isinstance(data, form.type):
+        raise CocmapError(f"builtin {args.builtin!r} is not {form.name}")
+    declared = _DECLARED[getattr(args, "kind", None)]
+    if declared and declared != data.kind:
+        data = ProximityMatrix(data.labels, data.data, kind=declared)
+    return data, _hash_text(args.builtin)
 
 
 def _run(args, command: str, steps: list[tuple[str, Stage]], own: Callable = lambda _: {}):
@@ -255,7 +247,7 @@ def _run(args, command: str, steps: list[tuple[str, Stage]], own: Callable = lam
             )
         current = stage.makes
     settings = [stage.settings(args) for _, stage in steps]
-    value, digest = LOADERS[source](args)
+    value, digest = _load(args, source)
     config = own(value)
     for s in settings:
         config.update(s)
@@ -511,8 +503,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "input", None) is None and getattr(args, "builtin", None) is None \
-                and args.command in ("build", "prox", "mds", "factor", "layout", "pipeline"):
+        if hasattr(args, "input") and args.input is None and args.builtin is None:
             raise UsageError("provide --in FILE or --builtin NAME")
         if getattr(args, "init", None) == "random" and args.seed is None:
             raise UsageError("--init random requires an explicit --seed")

@@ -546,7 +546,9 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
     stress.  ``max_iterations`` caps the Guttman transforms; a cap that
     leaves a cycle too few for its stabilizing step ends it on its last
     plain step.  A cycle's end whose stress rose, which only rounding can
-    do, is not kept.
+    do, is not kept.  With fixed targets (no ``update``) the fit takes the
+    stress only of the points whose stress it reads, the ends of the
+    cycles; an update runs at every point it scores, since it writes ``W * T``.
     Returns ``(X, history, iterations, converged, residual)``: ``history``
     holds the normalized raw stress ``sum_w (targets - d)^2 / sum_w targets^2``
     at the start and at the end of every cycle, ``iterations`` counts the
@@ -597,19 +599,18 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
         return float(np.dot(w, r.ravel())) / norm0
 
     history = [target_stress(dist)]
-    if update is None:
-        # fixed targets: a point is scored by its stress alone
-        def update(dist, out):
-            return target_stress(dist)
-    else:
+    if update is not None:
         # moving targets: the update rewrites W * T; the first step's
         # targets are dropped
         targets = w = None
 
-    def score(X):
-        # the distances of X and their stress; an update writes its W * T
+    def score(X, read=False):
+        # the distances of X and, where it is read, their stress; an update
+        # writes its W * T at every point, and returns the stress with it
         dist = _distances(X, buffers)
-        return dist, update(dist, WT)
+        if update is not None:
+            return dist, update(dist, WT)
+        return dist, target_stress(dist) if read else None
 
     def guttman(X, dist):
         # B(X) X, with B(X)_ij = -W_ij T_ij / d_ij off the diagonal, 0 where d_ij = 0
@@ -636,7 +637,7 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
         start = history[-1]
         Y = guttman(X, dist)
         iterations += 1
-        dist, stress = score(Y)
+        dist, stress = score(Y, read=iterations == max_iterations)
         if iterations < max_iterations:
             X1, X2 = Y, guttman(Y, dist)
             iterations += 1
@@ -651,12 +652,12 @@ def _smacof(W, targets, X, epsilon: float, max_iterations: int, update=None):
                 if iterations == max_iterations:
                     # no transform left to stabilize: the cycle ends on X2
                     Y = X2
-                    dist, stress = score(Y)
+                    dist, stress = score(Y, read=True)
                     break
                 P = X2 if alpha == -1.0 else X - 2.0 * alpha * r + alpha * alpha * v
                 Y = guttman(P, score(P)[0])
                 iterations += 1
-                dist, stress = score(Y)
+                dist, stress = score(Y, read=True)
                 if stress <= start or alpha == -1.0:
                     break
                 alpha = (alpha - 1.0) / 2.0 if alpha < -1.5 else -1.0
@@ -711,7 +712,6 @@ def mds(P: ProximityMatrix, cfg: MdsConfig = MdsConfig()) -> Configuration:
         raise DimensionTooLarge(f"cannot embed {n} points in {k} dimensions")
     mask = ~np.isnan(delta)
     np.fill_diagonal(mask, False)
-    mask &= mask.T
     if not np.any(mask & (delta > 0)):
         raise DegenerateInput("all off-diagonal dissimilarities are zero")
     unobserved = [work.labels[i] for i in np.flatnonzero(~mask.any(axis=1))]

@@ -127,13 +127,13 @@ def to_dissimilarity(S: ProximityMatrix, constant: float | str = "auto") -> Prox
     d = c - data
     off = ~np.eye(S.n, dtype=bool)
     bad = off & (d < -1e-12)
-    if np.any(bad & ~np.isnan(d)):
+    if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise NegativeResult(
             f"constant {c:g} is smaller than similarity {data[i, j]:g} "
             f"at ({S.labels[i]!r}, {S.labels[j]!r})"
         )
-    d = np.where(np.isnan(d), np.nan, np.maximum(d, 0.0))
+    np.maximum(d, 0.0, out=d)
     np.fill_diagonal(d, 0.0)
     return ProximityMatrix(S.labels, d, kind="dissimilarity")
 

@@ -555,6 +555,14 @@ CLI_OUTCOMES = {
     "pipeline-no-step": (["pipeline", "--builtin", "figure2", "--steps", ","], {}, 2,
                          "usage error: pipeline needs at least one step\n"),
     "mds-cities-as-similarity": (["mds", "--builtin", "cities", "--kind", "sim"], {}, 0, ""),
+    "mds-cooccurrence-as-dissimilarity": (["mds", "--builtin", "figure1", "--kind", "dissim"],
+                                          {}, 0, ""),
+    "prox-on-cooccurrence": (["prox", "--builtin", "figure1"], {}, 1,
+                             "error: cocmap.CocmapError: builtin 'figure1' is not an "
+                             "occurrence matrix\n"),
+    "layout-on-proximity": (["layout", "--builtin", "cities"], {}, 1,
+                            "error: cocmap.CocmapError: builtin 'cities' is not a "
+                            "co-occurrence matrix\n"),
     "build-occurrence": (["build", "--builtin", "figure2", "--derive", "occurrence"], {},
                          0, ""),
 }

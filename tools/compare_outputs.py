@@ -8,7 +8,8 @@ Usage:
 (a checkout's ``src``).  Each call runs once per tree, in a fresh child
 with that tree on ``PYTHONPATH`` and one BLAS thread, writing to the same
 relative output directory, so report paths and printed messages match.
-The calls cover every subcommand, the three demos, counts beyond float64's
+The calls cover every subcommand, the three demos, a co-occurrence builtin
+scaled as dissimilarities and refused as an occurrence matrix, counts beyond float64's
 exact range (a counts CSV read with ``--format matrix`` and a co-occurrence
 CSV holding 2**53 + 1), CSV files with quoted labels (a lower-triangular
 square one with ``.`` and blank cells and CRLF line ends, read by ``mds`` and
@@ -158,6 +159,7 @@ def calls(directory: Path) -> list[tuple[str, list[str]]]:
         ("mds-cities-ordinal-random", ["mds", "--builtin", "cities", "--level", "ordinal",
                                        "--init", "random", "--seed", "3"]),
         ("mds-figure1-sim", ["mds", "--builtin", "figure1"]),
+        ("mds-figure1-dissim", ["mds", "--builtin", "figure1", "--kind", "dissim"]),
         ("mds-gappy-ordinal", ["mds", "--in", str(gappy), "--level", "ordinal"]),
         ("mds-quoted-square", ["mds", "--in", str(quoted_square)]),
         ("factor-figure2", ["factor", "--builtin", "figure2"]),
@@ -183,6 +185,7 @@ def calls(directory: Path) -> list[tuple[str, list[str]]]:
         ("error-random-without-seed", ["mds", "--builtin", "cities", "--init", "random"]),
         ("error-missing-input", ["factor", "--in", str(directory / "no-such-file.txt")]),
         ("error-wrong-builtin", ["layout", "--builtin", "cities"]),
+        ("error-prox-on-cooccurrence-builtin", ["prox", "--builtin", "figure1"]),
     ]
     for name, gen in gens.items():
         for call in range(len(gen.start_seeds) or 1):
